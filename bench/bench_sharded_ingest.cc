@@ -2,10 +2,9 @@
 //
 // Sharded-ingest throughput: aggregate points/sec through the full
 // Pipeline (filter -> wire codec -> receiver -> archive) as a function of
-// shard count, with one producer thread per shard, in both execution
-// modes (per-shard locks vs dedicated shard workers). Also asserts the
+// shard count, with one producer thread per shard. Also asserts the
 // sharding contract: per-key segment sequences are identical for every
-// shard count and mode.
+// shard count (exit 1 otherwise).
 //
 //   $ ./build/bench_sharded_ingest [--keys N] [--points N]
 //                                  [--json PATH] [--spec SPEC]
@@ -37,7 +36,6 @@ struct Config {
 
 struct RunResult {
   size_t shards = 0;
-  bool threaded = false;
   double seconds = 0.0;
   double points_per_sec = 0.0;
   bool deterministic = true;
@@ -45,15 +43,13 @@ struct RunResult {
 
 // One producer thread per shard; producer p owns every p-th key, so each
 // key has exactly one writer (the pipeline's per-key ordering contract).
-RunResult RunOnce(const Config& config, size_t shards, bool threaded,
+RunResult RunOnce(const Config& config, size_t shards,
                   const std::vector<std::string>& keys,
                   const std::vector<Signal>& signals,
                   std::map<std::string, std::vector<Segment>>* baseline) {
   auto pipeline = ValueOrDie(Pipeline::Builder()
                                  .DefaultSpec(config.spec)
                                  .Shards(shards)
-                                 .Threads(threaded)
-                                 .QueueCapacity(1024)
                                  .Build(),
                              "Pipeline::Build");
 
@@ -75,7 +71,6 @@ RunResult RunOnce(const Config& config, size_t shards, bool threaded,
 
   RunResult result;
   result.shards = shards;
-  result.threaded = threaded;
   result.seconds = elapsed.count();
   result.points_per_sec =
       static_cast<double>(keys.size() * config.points_per_key) /
@@ -133,29 +128,25 @@ int Main(int argc, char** argv) {
               "%u hardware threads\n\n",
               config.keys, config.points_per_key, config.spec.c_str(),
               std::thread::hardware_concurrency());
-  std::printf("%-8s %-10s %12s %16s %10s %14s\n", "shards", "mode",
-              "seconds", "points/sec", "check", "speedup-vs-1");
+  std::printf("%-8s %12s %16s %10s %14s\n", "shards", "seconds",
+              "points/sec", "check", "speedup-vs-1");
 
   std::map<std::string, std::vector<Segment>> baseline;
   std::vector<RunResult> results;
-  std::map<bool, double> base_rate;
+  double base_rate = 0.0;
   bool all_deterministic = true;
-  for (const bool threaded : {false, true}) {
-    for (const size_t shards : {1u, 2u, 4u, 8u}) {
-      const RunResult run =
-          RunOnce(config, shards, threaded, keys, signals, &baseline);
-      results.push_back(run);
-      if (shards == 1) base_rate[threaded] = run.points_per_sec;
-      all_deterministic = all_deterministic && run.deterministic;
-      std::printf("%-8zu %-10s %12.3f %16.0f %10s %13.2fx\n", run.shards,
-                  threaded ? "threaded" : "locked", run.seconds,
-                  run.points_per_sec, run.deterministic ? "identical" : "DRIFT",
-                  run.points_per_sec / base_rate[threaded]);
-    }
+  for (const size_t shards : {1u, 2u, 4u, 8u}) {
+    const RunResult run = RunOnce(config, shards, keys, signals, &baseline);
+    results.push_back(run);
+    if (shards == 1) base_rate = run.points_per_sec;
+    all_deterministic = all_deterministic && run.deterministic;
+    std::printf("%-8zu %12.3f %16.0f %10s %13.2fx\n", run.shards, run.seconds,
+                run.points_per_sec, run.deterministic ? "identical" : "DRIFT",
+                run.points_per_sec / base_rate);
   }
 
   std::printf("\nshape: per-key segment sequences %s across every shard "
-              "count and mode\n",
+              "count\n",
               all_deterministic ? "are byte-identical" : "DIVERGED");
 
   if (!config.json_path.empty()) {
@@ -175,9 +166,9 @@ int Main(int argc, char** argv) {
     for (size_t i = 0; i < results.size(); ++i) {
       const RunResult& run = results[i];
       std::fprintf(out,
-                   "    {\"shards\": %zu, \"threaded\": %s, "
+                   "    {\"shards\": %zu, "
                    "\"seconds\": %.6f, \"points_per_sec\": %.0f}%s\n",
-                   run.shards, run.threaded ? "true" : "false", run.seconds,
+                   run.shards, run.seconds,
                    run.points_per_sec, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

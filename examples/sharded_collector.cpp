@@ -2,9 +2,9 @@
 //
 // Multi-core collector scenario: four producer threads (think: one per
 // network listener) stream disjoint sets of host metrics into one
-// Pipeline that is sharded four ways with dedicated shard workers. Each
-// key's whole path — filter, wire codec, archive — runs on its shard, so
-// producers never contend on a global lock, and per-key output is
+// Pipeline that is sharded four ways. Each key's whole path — filter, wire
+// codec, archive — runs on its producer's thread under its shard's lock,
+// so producers never contend on a global lock, and per-key output is
 // identical to what a single-threaded collector would produce.
 //
 //   $ ./build/sharded_collector
@@ -37,7 +37,6 @@ int main() {
                       .DefaultSpec("slide(eps=1)")
                       .PerKeySpec("edge0.host0.load", "swing(eps=0.5)")
                       .Shards(4)
-                      .Threads(true)  // one worker + bounded queue per shard
                       .Build()
                       .value();
 

@@ -73,10 +73,11 @@ bool IsDiskFull(const Status& status);
 /// Per-stream archive handle, owned by its StorageBackend and borrowed by
 /// the pipeline's stream state.
 ///
-/// Thread-safety: Append is only ever called from the thread that owns
-/// the stream's shard (the Pipeline's post-append drain), so a handle
-/// needs no locking of its own state; a backend whose streams share a
-/// medium synchronizes inside the medium append only.
+/// Thread-safety: Append is only ever called by the stream's Receiver
+/// while the stream is serialized (under the Pipeline's shard lock, or on
+/// the collector's serve thread), so a handle needs no locking of its own
+/// state; a backend whose streams share a medium synchronizes inside the
+/// medium append only.
 class StreamStorage {
  public:
   /// Handles are deleted by their backend.
@@ -106,8 +107,8 @@ class StreamStorage {
 /// Close() finalizes the medium (Pipeline::Finish forwards to it) while
 /// the in-memory stores stay queryable.
 ///
-/// Thread-safety: OpenStream may be called concurrently from shard
-/// threads (stream creation happens on the thread that processes a key's
+/// Thread-safety: OpenStream may be called concurrently from producer
+/// threads (stream creation happens on the thread that appends a key's
 /// first point) and must synchronize internally. Append on handles of
 /// different streams may run concurrently; Open/Flush/Close are called
 /// from one thread while ingest is quiescent.

@@ -150,16 +150,6 @@ Pipeline::Builder& Pipeline::Builder::Shards(size_t n) {
   return *this;
 }
 
-Pipeline::Builder& Pipeline::Builder::Threads(bool enable) {
-  threaded_ = enable;
-  return *this;
-}
-
-Pipeline::Builder& Pipeline::Builder::QueueCapacity(size_t points) {
-  queue_capacity_ = points;
-  return *this;
-}
-
 Pipeline::Builder& Pipeline::Builder::WithRegistry(
     const FilterRegistry* registry) {
   registry_ = registry;
@@ -187,10 +177,6 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Builder::Build() {
   }
   if (shards_ == 0) {
     return Status::InvalidArgument("Pipeline needs Shards >= 1");
-  }
-  if (threaded_ && queue_capacity_ == 0) {
-    return Status::InvalidArgument(
-        "Pipeline threaded mode needs QueueCapacity >= 1");
   }
   // Fail at build time, not first append: every configured family must be
   // registered and every configured spec must produce a filter.
@@ -239,8 +225,6 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Builder::Build() {
   PLASTREAM_RETURN_NOT_OK(storage->Open());
   ShardedFilterBank::Options bank_options;
   bank_options.shards = shards_;
-  bank_options.threaded = threaded_;
-  bank_options.queue_capacity = queue_capacity_;
   if (ingest_spec_.has_value()) {
     // An unknown policy family, a bad parameter or an inconsistent
     // combination (dup=last without a reorder buffer) fails the build.
@@ -280,8 +264,8 @@ Pipeline::Pipeline(std::optional<FilterSpec> default_spec,
   for (size_t i = 0; i < bank_options.shards; ++i) {
     stream_shards_.push_back(std::make_unique<StreamShard>());
   }
-  // The factory runs on the thread that processes the key's first point;
-  // only the key's own stream-shard map locks for the insertion —
+  // The factory runs on the producer thread that appends the key's first
+  // point; only the key's own stream-shard map locks for the insertion —
   // afterwards the new Stream is touched solely by its shard.
   auto factory =
       [this](std::string_view key) -> Result<std::unique_ptr<Filter>> {
@@ -303,13 +287,14 @@ Pipeline::Pipeline(std::optional<FilterSpec> default_spec,
           transport_->OpenLink(
               key, static_cast<uint16_t>(spec.options.epsilon.size())));
     } else {
-      stream->receiver.emplace(stream->codec.get());
       // The backend hands back this stream's archive handle (or nullptr
       // for "none"); a file backend that recovered the key returns the
-      // handle with every pre-crash segment already queryable.
+      // handle with every pre-crash segment already queryable. The
+      // receiver archives each segment as it decodes it.
       PLASTREAM_ASSIGN_OR_RETURN(
           stream->storage,
           storage_->OpenStream(key, spec.options.epsilon.size()));
+      stream->receiver.emplace(stream->codec.get(), stream->storage);
     }
     return registry_->MakeFilter(spec, &*stream->transmitter);
   };
@@ -372,11 +357,10 @@ Status Pipeline::DrainKey(std::string_view key) {
 }
 
 Status Pipeline::Flush() {
-  // Quiesce the shard workers first (threaded mode), then force every
-  // stream's codec to emit what it still buffers and drain it through the
-  // receiver into the archive. Callers hold the between-phases contract
-  // (no concurrent Append), so touching stream state here is safe.
-  PLASTREAM_RETURN_NOT_OK(bank_->Flush());
+  // Force every stream's codec to emit what it still buffers and drain it
+  // through the receiver into the archive. Callers hold the between-phases
+  // contract (no concurrent Append), so touching stream state here is
+  // safe.
   for (auto& shard : stream_shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto& [key, stream] : shard->streams) {
@@ -402,34 +386,23 @@ Status Pipeline::Drain(Stream& stream) {
     }
     return Status::OK();
   }
-  PLASTREAM_RETURN_NOT_OK(stream.receiver->Poll(&stream.channel));
-  if (stream.storage == nullptr) return Status::OK();
-  const std::vector<Segment>& segments = stream.receiver->segments();
-  for (; stream.archived < segments.size(); ++stream.archived) {
-    PLASTREAM_RETURN_NOT_OK(
-        stream.storage->Append(segments[stream.archived]));
-  }
-  return Status::OK();
+  return stream.receiver->Poll(&stream.channel);
 }
 
 Status Pipeline::Finish() {
   if (finished_) return Status::OK();
-  // Joins shard workers (threaded mode) and finishes every filter, pushing
-  // each stream's final segments through its transmitter; the codec flush
-  // then emits anything a batching codec still buffers.
+  // Finishes every filter, pushing each stream's final segments through
+  // its transmitter; the codec flush then emits anything a batching codec
+  // still buffers.
   PLASTREAM_RETURN_NOT_OK(bank_->FinishAll());
   for (auto& shard : stream_shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto& [key, stream] : shard->streams) {
       PLASTREAM_RETURN_NOT_OK(stream.transmitter->Flush());
-      if (stream.link != nullptr) {
-        PLASTREAM_RETURN_NOT_OK(Drain(stream));
-        PLASTREAM_RETURN_NOT_OK(stream.link->Finish());
-        continue;
-      }
-      PLASTREAM_RETURN_NOT_OK(stream.receiver->Poll(&stream.channel));
-      PLASTREAM_RETURN_NOT_OK(stream.receiver->FinishStream());
       PLASTREAM_RETURN_NOT_OK(Drain(stream));
+      PLASTREAM_RETURN_NOT_OK(stream.link != nullptr
+                                  ? stream.link->Finish()
+                                  : stream.receiver->FinishStream());
     }
   }
   finished_ = true;

@@ -1,10 +1,11 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // Pipeline: the five-line collector. One object composes the whole stream
-// stack — a FilterBank routing keyed points into spec-built filters, a
-// Transmitter/Channel/Receiver round-trip per stream (binary codec, byte
-// accounting, corruption detection), and a per-stream SegmentStore archive
-// answering error-bounded range queries:
+// stack — a ShardedFilterBank routing keyed points into spec-built
+// filters, a Transmitter/Channel/Receiver round-trip per stream (binary
+// codec, byte accounting, corruption detection), and a per-stream
+// SegmentStore archive, fed by the receiver as it decodes, answering
+// error-bounded range queries:
 //
 //   auto pipeline = Pipeline::Builder()
 //                       .DefaultSpec("slide(eps=0.05)")
@@ -54,10 +55,9 @@ namespace plastream {
 /// different shards run in parallel, and each key's whole path (filter,
 /// wire codec, archive) stays serialized on its shard. Points of one key
 /// must still arrive in time order, so concurrent producers should own
-/// disjoint key sets. Finish() and the read-side accessors must not race
-/// with Append; call them after producers have stopped (or, in threaded
-/// mode, after Flush()). The default single-shard pipeline behaves exactly
-/// as before and adds one uncontended lock per append.
+/// disjoint key sets. Flush(), Finish() and the read-side accessors must
+/// not race with Append; call them after producers have stopped. The
+/// default single-shard pipeline adds one uncontended lock per append.
 class Pipeline {
  public:
   /// Configures and constructs a Pipeline.
@@ -116,7 +116,7 @@ class Pipeline {
     /// Wire codec used by every stream's transport, as a codec spec
     /// (e.g. "frame", "delta(varint=true)", "batch(n=32,crc=crc32c)";
     /// default "frame"). Every stream gets its own codec instance, so
-    /// sharded and threaded ingest stay lock-free on the encode path.
+    /// sharded ingest stays lock-free on the encode path.
     Builder& Codec(FilterSpec spec);
     /// Parses `spec_text`; a parse failure surfaces at Build().
     Builder& Codec(std::string_view spec_text);
@@ -156,16 +156,6 @@ class Pipeline {
     /// different shards ingest in parallel. 0 is an error at Build().
     Builder& Shards(size_t n);
 
-    /// Gives every shard a dedicated worker thread fed by a bounded ingest
-    /// queue (thread-affinity mode). Append then enqueues and returns;
-    /// filter errors surface on later Appends, Flush() and Finish().
-    Builder& Threads(bool enable = true);
-
-    /// Per-shard ingest queue capacity for Threads() mode (default 1024);
-    /// Append blocks while the target shard's queue is full. 0 is an error
-    /// at Build() when threads are enabled.
-    Builder& QueueCapacity(size_t points);
-
     /// Uses `registry` instead of FilterRegistry::Global(); `registry` is
     /// borrowed and must outlive the pipeline.
     Builder& WithRegistry(const FilterRegistry* registry);
@@ -174,8 +164,7 @@ class Pipeline {
     /// string or config file failed to parse, a spec names an
     /// unregistered filter family, codec or storage backend, the storage
     /// backend fails to open (unwritable or unrecoverable archive file),
-    /// or the sharding configuration is invalid (Shards(0),
-    /// QueueCapacity(0)).
+    /// or the sharding configuration is invalid (Shards(0)).
     Result<std::unique_ptr<Pipeline>> Build();
 
    private:
@@ -188,8 +177,6 @@ class Pipeline {
     std::optional<FilterSpec> transport_spec_;
     std::optional<FilterSpec> ingest_spec_;
     size_t shards_ = 1;
-    bool threaded_ = false;
-    size_t queue_capacity_ = 1024;
     const FilterRegistry* registry_;
     const CodecRegistry* codec_registry_;
     const StorageRegistry* storage_registry_;
@@ -211,8 +198,8 @@ class Pipeline {
 
   /// Routes a time-ordered batch of points into the stream named `key`,
   /// paying the per-append costs once per batch instead of once per
-  /// point: one shard hash, one lock acquisition (or one ingest-queue
-  /// slot in threaded mode), one filter lookup, and one transport drain.
+  /// point: one shard hash, one lock acquisition, one filter lookup, and
+  /// one transport drain.
   /// Segments, wire bytes and archives are byte-identical to appending
   /// the same points one at a time. Stops at the first error, leaving
   /// earlier points applied.
@@ -225,17 +212,16 @@ class Pipeline {
   Status AppendBatch(std::string_view key, std::span<const double> ts,
                      std::span<const double> vals);
 
-  /// Blocks (threaded mode) until every enqueued point has been filtered,
-  /// then flushes each stream's codec — a buffering codec like "batch"
-  /// holds records until flushed — and drains the transports into the
-  /// receivers and archives. Reports the first deferred error; the
-  /// pipeline stays open for more appends. Call between producer phases
+  /// Flushes each stream's codec — a buffering codec like "batch" holds
+  /// records until flushed — and drains the transports into the
+  /// receivers and archives. Reports the first error; the pipeline stays
+  /// open for more appends. Call between producer phases
   /// (never concurrently with Append) to make the read accessors safe and
   /// complete mid-stream.
   Status Flush();
 
-  /// Finishes every filter (joining shard workers first), drains the
-  /// transports, and completes the archives. Idempotent; Append afterwards
+  /// Finishes every filter, drains the transports, and completes the
+  /// archives. Idempotent; Append afterwards
   /// is an error.
   Status Finish();
 
@@ -371,16 +357,14 @@ class Pipeline {
   // Per-stream transport + archive handle. Channel/Codec/Receiver live
   // here; the filter is owned by the bank, the storage handle by the
   // backend. Only the stream's shard touches this state during ingest,
-  // so no per-stream lock is needed and the per-stream codec instance
-  // makes encode lock-free in threaded mode.
+  // so no per-stream lock is needed.
   struct Stream {
     Channel channel;
     std::unique_ptr<WireCodec> codec;
     std::optional<Transmitter> transmitter;
-    // Local (inproc) path: decode + archive in-process.
+    // Local (inproc) path: the receiver decodes and archives to storage.
     std::optional<Receiver> receiver;
     StreamStorage* storage = nullptr;  // borrowed; null for "none"
-    size_t archived = 0;  // receiver segments already handed to storage
     // Remote path: frames leave through the transport instead.
     std::unique_ptr<TransportLink> link;
   };
@@ -395,11 +379,12 @@ class Pipeline {
            std::unique_ptr<class Transport> transport,
            ShardedFilterBank::Options bank_options);
 
-  // Decodes whatever the transmitter queued and archives new segments.
+  // Decodes (and thereby archives) whatever the transmitter queued, or
+  // ships it over the remote link.
   Status Drain(Stream& stream);
 
   // Post-append hook: drains the appended key's transport, running on the
-  // processing thread while the key's shard is exclusively held.
+  // producer thread while the key's shard is exclusively held.
   Status DrainKey(std::string_view key);
 
   const Stream* Find(std::string_view key) const;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "storage/storage_backend.h"
 #include "stream/wire_codec.h"
 
 namespace plastream {
@@ -15,7 +16,11 @@ Receiver::Receiver() : owned_codec_(MakeFrameWireCodec()) {
 
 Receiver::Receiver(WireCodec* codec) : codec_(codec) {}
 
+Receiver::Receiver(WireCodec* codec, StreamStorage* storage)
+    : codec_(codec), storage_(storage) {}
+
 Status Receiver::Poll(Channel* channel) {
+  PLASTREAM_RETURN_NOT_OK(archive_status_);
   while (auto frame = channel->Pop()) {
     PLASTREAM_RETURN_NOT_OK(ApplyFrame(*frame));
     // The frame's storage goes back to the channel so the next encode
@@ -26,6 +31,7 @@ Status Receiver::Poll(Channel* channel) {
 }
 
 Status Receiver::ApplyFrame(std::span<const uint8_t> frame) {
+  PLASTREAM_RETURN_NOT_OK(archive_status_);
   decoded_.clear();
   PLASTREAM_RETURN_NOT_OK(codec_->Decode(frame, &decoded_));
   for (const WireRecord& record : decoded_) {
@@ -37,7 +43,7 @@ Status Receiver::ApplyFrame(std::span<const uint8_t> frame) {
 Status Receiver::Apply(const WireRecord& record) {
   switch (record.type) {
     case WireRecordType::kSegmentBreak: {
-      FlushPendingBreak();
+      PLASTREAM_RETURN_NOT_OK(FlushPendingBreak());
       pending_break_ = record;
       break;
     }
@@ -57,15 +63,14 @@ Status Receiver::Apply(const WireRecord& record) {
       if (seg.t_end < seg.t_start) {
         return Status::Corruption("segment end precedes its start");
       }
-      coverage_t_ = std::max(coverage_t_, seg.t_end);
-      segments_.push_back(std::move(seg));
       last_end_ = record;
+      PLASTREAM_RETURN_NOT_OK(Emit(std::move(seg)));
       break;
     }
     case WireRecordType::kSegmentPointConnected: {
       // A preceding lone break was a point segment; materialize it so this
       // segment can connect to its end.
-      FlushPendingBreak();
+      PLASTREAM_RETURN_NOT_OK(FlushPendingBreak());
       if (!last_end_.has_value()) {
         return Status::Corruption(
             "connected segment end without a previous segment");
@@ -79,18 +84,11 @@ Status Receiver::Apply(const WireRecord& record) {
       if (seg.t_end < seg.t_start) {
         return Status::Corruption("segment end precedes its start");
       }
-      coverage_t_ = std::max(coverage_t_, seg.t_end);
-      segments_.push_back(std::move(seg));
       last_end_ = record;
+      PLASTREAM_RETURN_NOT_OK(Emit(std::move(seg)));
       break;
     }
     case WireRecordType::kProvisionalLine: {
-      ProvisionalLine line;
-      line.t = record.t;
-      line.x = record.x;
-      line.slope = record.slope;
-      line.recording_cost = 1;  // informational on the receiving side
-      provisional_.push_back(std::move(line));
       coverage_t_ = std::max(coverage_t_, record.t);
       break;
     }
@@ -99,8 +97,8 @@ Status Receiver::Apply(const WireRecord& record) {
   return Status::OK();
 }
 
-void Receiver::FlushPendingBreak() {
-  if (!pending_break_.has_value()) return;
+Status Receiver::FlushPendingBreak() {
+  if (!pending_break_.has_value()) return Status::OK();
   // A break that was never continued is a zero-length (point) segment.
   Segment seg;
   seg.t_start = pending_break_->t;
@@ -108,15 +106,21 @@ void Receiver::FlushPendingBreak() {
   seg.x_start = pending_break_->x;
   seg.x_end = pending_break_->x;
   seg.connected_to_prev = false;
-  coverage_t_ = std::max(coverage_t_, seg.t_end);
-  segments_.push_back(std::move(seg));
   last_end_ = pending_break_;
   pending_break_.reset();
+  return Emit(std::move(seg));
+}
+
+Status Receiver::Emit(Segment segment) {
+  coverage_t_ = std::max(coverage_t_, segment.t_end);
+  segments_.push_back(std::move(segment));
+  if (storage_ != nullptr) archive_status_ = storage_->Append(segments_.back());
+  return archive_status_;
 }
 
 Status Receiver::FinishStream() {
-  FlushPendingBreak();
-  return Status::OK();
+  PLASTREAM_RETURN_NOT_OK(archive_status_);
+  return FlushPendingBreak();
 }
 
 }  // namespace plastream

@@ -3,7 +3,9 @@
 // Receiver: decodes wire records from a channel and incrementally rebuilds
 // the transmitted piece-wise linear approximation. The round-trip property
 // (receiver segments == filter segments) is part of the integration test
-// suite.
+// suite. Given a stream archive, the receiver is also the one place where
+// decoded segments reach storage: each segment is archived as it is
+// materialized, for the in-process Pipeline and the CollectorServer alike.
 
 #ifndef PLASTREAM_STREAM_RECEIVER_H_
 #define PLASTREAM_STREAM_RECEIVER_H_
@@ -17,13 +19,14 @@
 
 #include "common/result.h"
 #include "core/reconstruction.h"
-#include "core/segment_sink.h"
 #include "core/types.h"
 #include "stream/channel.h"
 #include "stream/wire.h"
 #include "stream/wire_codec.h"
 
 namespace plastream {
+
+class StreamStorage;
 
 /// Rebuilds segments from the wire protocol.
 class Receiver {
@@ -36,6 +39,12 @@ class Receiver {
   /// need one instance per stream — sharing the transmitter's instance is
   /// fine (encode and decode state are independent).
   explicit Receiver(WireCodec* codec);
+
+  /// Receives through `codec` and archives every segment it rebuilds to
+  /// `storage`, in order, as the segment is materialized. Both borrowed;
+  /// a null `storage` archives nothing. An archive failure is sticky:
+  /// every later ApplyFrame, Poll and FinishStream returns it.
+  Receiver(WireCodec* codec, StreamStorage* storage);
 
   /// Drains every queued frame from `channel`, decoding and applying the
   /// records each carries. Stops at the first corrupt frame with its
@@ -56,11 +65,6 @@ class Receiver {
   /// Segments reconstructed so far, in time order.
   const std::vector<Segment>& segments() const { return segments_; }
 
-  /// Provisional line commits observed (max-lag freezes).
-  const std::vector<ProvisionalLine>& provisional_lines() const {
-    return provisional_;
-  }
-
   /// Builds the queryable reconstruction from the segments received so far.
   Result<PiecewiseLinearFunction> Reconstruction() const {
     return PiecewiseLinearFunction::Make(segments_);
@@ -76,15 +80,19 @@ class Receiver {
  private:
   Status Apply(const WireRecord& record);
   // Materializes a never-continued break record as a point segment.
-  void FlushPendingBreak();
+  Status FlushPendingBreak();
+  // Every materialized segment goes through here: it extends the
+  // coverage, joins segments_ and reaches the archive.
+  Status Emit(Segment segment);
 
   std::unique_ptr<WireCodec> owned_codec_;  // set by the default ctor
   WireCodec* codec_;
+  StreamStorage* storage_ = nullptr;  // borrowed; null archives nothing
+  Status archive_status_ = Status::OK();  // sticky archive failure
   std::vector<WireRecord> decoded_;  // scratch, reused across frames
   std::optional<WireRecord> pending_break_;
   std::optional<WireRecord> last_end_;
   std::vector<Segment> segments_;
-  std::vector<ProvisionalLine> provisional_;
   size_t records_received_ = 0;
   double coverage_t_ = -std::numeric_limits<double>::infinity();
 };

@@ -32,37 +32,15 @@ Result<std::unique_ptr<ShardedFilterBank>> ShardedFilterBank::Create(
   if (options.shards == 0) {
     return Status::InvalidArgument("ShardedFilterBank needs >= 1 shard");
   }
-  if (options.threaded && options.queue_capacity == 0) {
-    return Status::InvalidArgument(
-        "ShardedFilterBank threaded mode needs queue_capacity >= 1");
-  }
   return std::unique_ptr<ShardedFilterBank>(
       new ShardedFilterBank(std::move(factory), std::move(options)));
 }
 
 ShardedFilterBank::ShardedFilterBank(FilterFactory factory, Options options)
-    : options_(std::move(options)), threaded_(options_.threaded) {
+    : options_(std::move(options)) {
   shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(factory, options_.ingest));
-  }
-  if (threaded_) {
-    for (auto& shard : shards_) {
-      shard->worker = std::thread([this, &shard] { WorkerLoop(*shard); });
-    }
-  }
-}
-
-ShardedFilterBank::~ShardedFilterBank() {
-  for (auto& shard : shards_) {
-    if (!shard->worker.joinable()) continue;
-    {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->stop = true;
-    }
-    shard->ingest_cv.notify_all();
-    shard->drained_cv.notify_all();  // wake producers blocked on a full queue
-    shard->worker.join();
   }
 }
 
@@ -70,18 +48,8 @@ size_t ShardedFilterBank::ShardOf(std::string_view key) const {
   return static_cast<size_t>(Fnv1a(key) % shards_.size());
 }
 
-Status ShardedFilterBank::AppendNow(Shard& shard, std::string_view key,
-                                    const DataPoint& point) {
-  PLASTREAM_RETURN_NOT_OK(shard.bank.Append(key, point));
-  if (options_.post_append != nullptr) {
-    return options_.post_append(key);
-  }
-  return Status::OK();
-}
-
-Status ShardedFilterBank::AppendBatchNow(Shard& shard, std::string_view key,
-                                         std::span<const DataPoint> points) {
-  const Status appended = shard.bank.AppendBatch(key, points);
+Status ShardedFilterBank::AfterBatch(std::string_view key,
+                                     const Status& appended) {
   if (options_.post_append == nullptr) return appended;
   // Run the hook even after a partial batch: earlier points may have
   // emitted segments the hook's transport still has to drain. The
@@ -90,75 +58,22 @@ Status ShardedFilterBank::AppendBatchNow(Shard& shard, std::string_view key,
   return appended.ok() ? hook : appended;
 }
 
-Status ShardedFilterBank::AppendColumnarNow(Shard& shard,
-                                            std::string_view key,
-                                            std::span<const double> ts,
-                                            std::span<const double> vals) {
-  const Status appended = shard.bank.AppendBatch(key, ts, vals);
-  if (options_.post_append == nullptr) return appended;
-  // Same discipline as AppendBatchNow: the hook runs even after a partial
-  // batch, the filter's error stays the one reported.
-  const Status hook = options_.post_append(key);
-  return appended.ok() ? hook : appended;
-}
-
-Status ShardedFilterBank::Enqueue(Shard& shard, std::string_view key,
-                                  Task&& task) {
-  // The caller copied the payload before this call — the worker and every
-  // other producer on this shard contend for the mutex, so allocations and
-  // memcpys must not sit inside the critical section.
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  // The stop/error state can change while blocked on a full queue, so the
-  // wait wakes on it and the checks run after the wait, not before.
-  shard.drained_cv.wait(lock, [&] {
-    return shard.stop || !shard.deferred.ok() ||
-           shard.queue.size() < options_.queue_capacity;
-  });
-  if (!shard.deferred.ok()) return shard.deferred;
-  if (shard.stop) {
-    return Status::FailedPrecondition("Append after FinishAll");
-  }
-  // Intern the key: one allocation per distinct key per shard, then every
-  // queued Task borrows the set node (node addresses are stable).
-  auto interned = shard.keys.find(key);
-  if (interned == shard.keys.end()) {
-    interned = shard.keys.insert(std::string(key)).first;
-  }
-  task.key = *interned;
-  shard.queue.push_back(std::move(task));
-  ++shard.in_flight;
-  lock.unlock();
-  shard.ingest_cv.notify_one();
-  return Status::OK();
-}
-
 Status ShardedFilterBank::Append(std::string_view key,
                                  const DataPoint& point) {
   Shard& shard = *shards_[ShardOf(key)];
-  if (!threaded_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendNow(shard, key, point);
-  }
-  Task task;
-  task.kind = TaskKind::kPoint;
-  task.point = point;
-  return Enqueue(shard, key, std::move(task));
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  PLASTREAM_RETURN_NOT_OK(shard.bank.Append(key, point));
+  if (options_.post_append != nullptr) return options_.post_append(key);
+  return Status::OK();
 }
 
 Status ShardedFilterBank::AppendBatch(std::string_view key,
                                       std::span<const DataPoint> points) {
   if (points.empty()) return Status::OK();
   Shard& shard = *shards_[ShardOf(key)];
-  if (!threaded_) {
-    // The whole key-group pays for one lock acquisition.
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendBatchNow(shard, key, points);
-  }
-  // One queue slot (and one worker wakeup) for the whole key-group.
-  Task task;
-  task.kind = TaskKind::kBatch;
-  task.batch.assign(points.begin(), points.end());
-  return Enqueue(shard, key, std::move(task));
+  // The whole key-group pays for one lock acquisition.
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  return AfterBatch(key, shard.bank.AppendBatch(key, points));
 }
 
 Status ShardedFilterBank::AppendBatch(std::string_view key,
@@ -166,79 +81,14 @@ Status ShardedFilterBank::AppendBatch(std::string_view key,
                                       std::span<const double> vals) {
   if (ts.empty() && vals.empty()) return Status::OK();
   Shard& shard = *shards_[ShardOf(key)];
-  if (!threaded_) {
-    // Locked mode forwards the caller's columns zero-copy.
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendColumnarNow(shard, key, ts, vals);
-  }
-  Task task;
-  task.kind = TaskKind::kColumnar;
-  task.ts.assign(ts.begin(), ts.end());
-  task.vals.assign(vals.begin(), vals.end());
-  return Enqueue(shard, key, std::move(task));
-}
-
-void ShardedFilterBank::WorkerLoop(Shard& shard) {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    shard.ingest_cv.wait(lock,
-                         [&] { return shard.stop || !shard.queue.empty(); });
-    if (shard.queue.empty()) return;  // stop requested and fully drained
-    Task task = std::move(shard.queue.front());
-    shard.queue.pop_front();
-    lock.unlock();
-    shard.drained_cv.notify_all();
-
-    // The bank is touched without the lock: this worker is its only writer.
-    Status status;
-    switch (task.kind) {
-      case TaskKind::kPoint:
-        status = AppendNow(shard, task.key, task.point);
-        break;
-      case TaskKind::kBatch:
-        status = AppendBatchNow(shard, task.key, task.batch);
-        break;
-      case TaskKind::kColumnar:
-        status = AppendColumnarNow(shard, task.key, task.ts, task.vals);
-        break;
-    }
-
-    lock.lock();
-    if (!status.ok() && shard.deferred.ok()) {
-      shard.deferred = std::move(status);
-    }
-    --shard.in_flight;
-    lock.unlock();
-    shard.drained_cv.notify_all();
-  }
-}
-
-Status ShardedFilterBank::Flush() {
-  Status first = Status::OK();
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mutex);
-    if (threaded_) {
-      shard->drained_cv.wait(lock, [&] { return shard->in_flight == 0; });
-    }
-    if (!shard->deferred.ok() && first.ok()) first = shard->deferred;
-  }
-  return first;
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  return AfterBatch(key, shard.bank.AppendBatch(key, ts, vals));
 }
 
 Status ShardedFilterBank::FinishAll() {
   Status first = Status::OK();
   for (auto& shard : shards_) {
-    if (shard->worker.joinable()) {
-      {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->stop = true;
-      }
-      shard->ingest_cv.notify_all();
-      shard->drained_cv.notify_all();  // wake producers blocked on full queue
-      shard->worker.join();  // worker drains the queue before exiting
-    }
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    if (!shard->deferred.ok() && first.ok()) first = shard->deferred;
     const Status finish = shard->bank.FinishAll();
     if (!finish.ok() && first.ok()) first = finish;
   }

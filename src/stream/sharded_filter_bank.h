@@ -3,33 +3,22 @@
 // ShardedFilterBank: the multi-core ingestion front-end. The paper's
 // filters are strictly per-stream, which makes keyed ingest embarrassingly
 // parallel: hash-partition the key space across N shards, give each shard
-// its own FilterBank, and appends for different shards never contend. Two
-// execution modes share one API:
-//
-//  - locked (default): each shard carries a mutex; Append runs the filter
-//    on the calling thread under that shard's lock. Producers appending to
-//    different shards proceed fully in parallel.
-//  - threaded: each shard owns a dedicated worker thread fed by a bounded
-//    ingest queue. Append enqueues and returns; the worker drains the
-//    queue in order, giving every filter thread affinity (warm caches, no
-//    lock hold during filtering) at the price of asynchronous errors.
+// its own FilterBank behind a mutex, and run Append on the calling thread
+// under that shard's lock. Producers appending to different shards
+// proceed fully in parallel.
 //
 // Key-to-shard assignment is a stable FNV-1a hash, so a key's points are
 // always processed by the same shard, in arrival order — per-key segment
-// sequences are byte-identical for every shard count and both modes.
+// sequences are byte-identical for every shard count.
 
 #ifndef PLASTREAM_STREAM_SHARDED_FILTER_BANK_H_
 #define PLASTREAM_STREAM_SHARDED_FILTER_BANK_H_
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -45,36 +34,27 @@ namespace plastream {
 ///    threads. Points of one key must be produced by one thread at a time
 ///    (or be externally ordered) — concurrent producers should own
 ///    disjoint key sets, exactly as they would with one bank per producer.
-///  - FinishAll/Flush are safe to call from one thread while producers
-///    have stopped appending.
+///  - FinishAll is safe to call from one thread while producers have
+///    stopped appending.
 ///  - The read-side accessors (Keys, GetFilter, Stats, TakeSegments,
-///    AggregateCounters) are safe during concurrent ingest in locked mode;
-///    in threaded mode call them only when the bank is quiescent — before
-///    the first Append, or after Flush()/FinishAll() has returned.
+///    AggregateCounters) are safe during concurrent ingest.
 class ShardedFilterBank {
  public:
-  /// Builds the filter for a newly seen stream key; invoked on the thread
-  /// that processes the key's first point (producer thread in locked mode,
-  /// the shard worker in threaded mode).
+  /// Builds the filter for a newly seen stream key; invoked on the
+  /// producer thread that appends the key's first point.
   using FilterFactory = FilterBank::FilterFactory;
 
   /// Optional callback run after every successfully appended point, on the
-  /// processing thread, while the point's key is exclusively held — the
+  /// producer thread, while the point's key is exclusively held — the
   /// seam the Pipeline uses to drain per-stream transports in shard
   /// parallel. A non-OK return is treated like a filter error.
   using PostAppendHook = std::function<Status(std::string_view key)>;
 
   /// Configuration of a ShardedFilterBank.
   struct Options {
-    /// Number of hash shards (>= 1). 1 shard with no threads degenerates
-    /// to a mutex-guarded FilterBank.
+    /// Number of hash shards (>= 1). 1 shard degenerates to a
+    /// mutex-guarded FilterBank.
     size_t shards = 1;
-    /// Dedicated worker thread + bounded ingest queue per shard.
-    bool threaded = false;
-    /// Queue capacity per shard in threaded mode, counted in enqueued
-    /// tasks — a single Append and a whole AppendBatch each occupy one
-    /// slot. Append blocks while the shard's queue is full (backpressure).
-    size_t queue_capacity = 1024;
     /// See PostAppendHook.
     PostAppendHook post_append;
     /// Ingest-guard policy applied in front of every stream's filter,
@@ -83,54 +63,36 @@ class ShardedFilterBank {
     IngestPolicy ingest;
   };
 
-  /// Validates `options` (shards >= 1, queue_capacity >= 1 when threaded)
-  /// and constructs the bank, spawning shard workers in threaded mode.
+  /// Validates `options` (shards >= 1) and constructs the bank.
   static Result<std::unique_ptr<ShardedFilterBank>> Create(
       FilterFactory factory, Options options);
 
-  /// Stops and joins shard workers without finishing the filters.
-  ~ShardedFilterBank();
-
-  /// Shards own threads and filters; the bank is not copyable.
+  /// Shards own filters; the bank is not copyable.
   ShardedFilterBank(const ShardedFilterBank&) = delete;
-  /// Shards own threads and filters; the bank is not copyable.
+  /// Shards own filters; the bank is not copyable.
   ShardedFilterBank& operator=(const ShardedFilterBank&) = delete;
 
   /// Appends a point to the stream named `key`, creating its filter on
-  /// first use. Locked mode: runs synchronously and returns the filter's
-  /// status. Threaded mode: enqueues and returns OK (blocking while the
-  /// shard queue is full); a failure inside the worker is sticky and
-  /// surfaces on the next Append to that shard, on Flush, and on
-  /// FinishAll.
+  /// first use. Runs synchronously under the shard's lock and returns the
+  /// filter's status.
   Status Append(std::string_view key, const DataPoint& point);
 
   /// Appends a batch of points to the stream named `key`, paying the
   /// shard costs once per batch instead of once per point: one hash, one
-  /// lock acquisition (locked mode) or one queue slot (threaded mode),
-  /// and one filter lookup. Segments are byte-identical to per-point
-  /// Append. Locked mode stops at the first error with earlier points
-  /// applied; threaded mode copies the batch, enqueues, and returns OK
-  /// (errors surface like Append's). The per-key ordering contract is
-  /// unchanged: one producer at a time per key.
+  /// lock acquisition and one filter lookup. Segments are byte-identical
+  /// to per-point Append. Stops at the first error with earlier points
+  /// applied. The per-key ordering contract is unchanged: one producer at
+  /// a time per key.
   Status AppendBatch(std::string_view key, std::span<const DataPoint> points);
 
   /// Columnar batch append: timestamps and dimension-major values as flat
-  /// column arrays (layout per Filter::AppendBatch(ts, vals)). Locked mode
-  /// forwards the spans zero-copy under the shard lock; threaded mode
-  /// copies both columns into the task before enqueueing. Error semantics
-  /// match AppendBatch's for the respective mode.
+  /// column arrays (layout per Filter::AppendBatch(ts, vals)), forwarded
+  /// zero-copy under the shard lock. Error semantics match AppendBatch's.
   Status AppendBatch(std::string_view key, std::span<const double> ts,
                      std::span<const double> vals);
 
-  /// Threaded mode: blocks until every queued point has been processed and
-  /// returns the first deferred error, if any. Locked mode: errors are
-  /// synchronous, so there is nothing to report and Flush returns OK.
-  /// Producers may keep appending afterwards.
-  Status Flush();
-
-  /// Drains the ingest queues, stops and joins the shard workers, then
-  /// finishes every stream's filter (idempotent). Returns the first
-  /// deferred or finish error.
+  /// Finishes every stream's filter (idempotent). Returns the first
+  /// finish error.
   Status FinishAll();
 
   /// Drains the finalized segments of one stream.
@@ -165,78 +127,26 @@ class ShardedFilterBank {
   /// Number of shards.
   size_t shard_count() const { return shards_.size(); }
 
-  /// True when shard workers are running (threaded mode, before FinishAll).
-  bool threaded() const { return threaded_; }
-
   /// The shard index `key` hashes to (stable across runs and platforms).
   size_t ShardOf(std::string_view key) const;
 
  private:
-  // Payload shape of a queued ingest task.
-  enum class TaskKind { kPoint, kBatch, kColumnar };
-
-  // One queued unit of ingest — a single point, a row batch, or a
-  // columnar batch — waiting for the shard worker. The key borrows the
-  // shard's intern set (node addresses are stable), so queueing work for
-  // an already-seen key allocates nothing for the key.
-  struct Task {
-    std::string_view key;
-    TaskKind kind = TaskKind::kPoint;
-    DataPoint point;               // kPoint payload
-    std::vector<DataPoint> batch;  // kBatch payload
-    std::vector<double> ts;        // kColumnar payload (with vals)
-    std::vector<double> vals;
-  };
-
-  // A shard: its bank plus the mutex that serializes access to it. In
-  // threaded mode the mutex guards the queue/error state while the bank
-  // itself is touched only by the worker; the in_flight counter going to
-  // zero under the mutex is what publishes the worker's writes to callers
-  // of Flush/FinishAll.
+  // A shard: its bank plus the mutex that serializes access to it.
   struct Shard {
     Shard(FilterFactory factory, const IngestPolicy& ingest)
         : bank(std::move(factory), ingest) {}
 
     mutable std::mutex mutex;
     FilterBank bank;
-
-    // Threaded-mode state.
-    std::condition_variable ingest_cv;   // signals the worker: work/stop
-    std::condition_variable drained_cv;  // signals producers: space/empty
-    std::deque<Task> queue;
-    std::set<std::string, std::less<>> keys;  // intern pool for Task::key
-    size_t in_flight = 0;  // queued + currently executing tasks
-    bool stop = false;
-    Status deferred = Status::OK();  // first asynchronous failure
-    std::thread worker;
   };
 
   ShardedFilterBank(FilterFactory factory, Options options);
 
-  // Body of a shard's worker thread.
-  void WorkerLoop(Shard& shard);
-
-  // Synchronous append + hook, shard lock already held by the caller
-  // (locked mode) or exclusivity guaranteed by the worker (threaded mode).
-  Status AppendNow(Shard& shard, std::string_view key, const DataPoint& point);
-
-  // Batch counterpart of AppendNow: whole batch through the bank, hook
-  // once. The hook still runs after a partial batch so transports drain
-  // what was emitted; the filter's error wins.
-  Status AppendBatchNow(Shard& shard, std::string_view key,
-                        std::span<const DataPoint> points);
-
-  // Columnar counterpart of AppendBatchNow, same hook discipline.
-  Status AppendColumnarNow(Shard& shard, std::string_view key,
-                           std::span<const double> ts,
-                           std::span<const double> vals);
-
-  // Shared threaded-mode enqueue path (backpressure, key interning). The
-  // task's payload is already copied; Enqueue fills in the interned key.
-  Status Enqueue(Shard& shard, std::string_view key, Task&& task);
+  // Runs the post-append hook after a (possibly partial) batch, shard
+  // lock held; the filter's error wins over the hook's.
+  Status AfterBatch(std::string_view key, const Status& appended);
 
   Options options_;
-  bool threaded_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

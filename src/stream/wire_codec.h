@@ -13,7 +13,7 @@
 // Codecs are stateful on both sides (delta encoding carries the previous
 // record's time; batch framing buffers records), so every stream owns its
 // own instance — the Pipeline creates one per stream, which also keeps
-// sharded/threaded ingest lock-free on the encode path. Channel byte
+// sharded ingest lock-free on the encode path. Channel byte
 // accounting remains the source of truth for wire cost.
 
 #ifndef PLASTREAM_STREAM_WIRE_CODEC_H_

@@ -549,19 +549,17 @@ bool CollectorServer::HandleMessage(Connection& conn,
               std::string_view(conn.codec_spec));
           if (!codec.ok()) {
             fail = codec.status().message();
+          } else if (auto opened = storage_->OpenStream(o.key, o.dims);
+                     !opened.ok()) {
+            fail = "storage rejected stream '" + o.key +
+                   "': " + opened.status().message();
           } else {
-            auto state = std::make_unique<KeyState>(std::move(codec).value());
+            auto state = std::make_unique<KeyState>(std::move(codec).value(),
+                                                    opened.value());
             state->codec_spec = conn.codec_spec;
             state->dims = o.dims;
-            auto opened = storage_->OpenStream(o.key, o.dims);
-            if (!opened.ok()) {
-              fail = "storage rejected stream '" + o.key +
-                     "': " + opened.status().message();
-            } else {
-              state->storage = opened.value();
-              it = keys_.emplace(o.key, std::move(state)).first;
-              ++stats_.streams;
-            }
+            it = keys_.emplace(o.key, std::move(state)).first;
+            ++stats_.streams;
           }
         }
         if (fail.empty()) {
@@ -665,7 +663,6 @@ bool CollectorServer::HandleFrame(Connection& conn,
       }
       stats_.records_applied +=
           state.receiver.records_received() - records_before;
-      if (applied.ok()) applied = ArchiveNewSegments(state);
       if (!applied.ok()) {
         state.status = applied;
         fail = applied.message();
@@ -681,18 +678,6 @@ bool CollectorServer::HandleFrame(Connection& conn,
   }
   AppendAckMessage(&conn.outbuf, head.value().stream_id, ack_seq);
   return true;
-}
-
-Status CollectorServer::ArchiveNewSegments(KeyState& state) {
-  const std::vector<Segment>& segments = state.receiver.segments();
-  if (state.storage == nullptr) {
-    state.archived = segments.size();
-    return Status::OK();
-  }
-  for (; state.archived < segments.size(); ++state.archived) {
-    PLASTREAM_RETURN_NOT_OK(state.storage->Append(segments[state.archived]));
-  }
-  return Status::OK();
 }
 
 #endif  // POSIX

@@ -4,15 +4,16 @@
 // run the paper's filters next to the data and ship codec frames; the
 // collector multiplexes many producer connections onto the same
 // decode→archive path a local Pipeline uses — per-key WireCodec +
-// Receiver instances rebuild segments, a spec-selected StorageBackend
-// archives them, and every SegmentStore query keeps the ±ε contract.
+// Receiver instances rebuild segments and archive each one, as it is
+// decoded, to a spec-selected StorageBackend; every SegmentStore query
+// keeps the ±ε contract.
 //
 //   auto server = CollectorServer::Listen("tcp(host=127.0.0.1,port=0)",
 //                                         options).value();
-//   std::thread serving([&] { server->Serve().IgnoreError?? — Serve()
-//                             returns when Shutdown() is called; });
+//   Status served;
+//   std::thread serving([&] { served = server->Serve(); });
 //   ... producers connect to server->endpoint() ...
-//   server->Shutdown(); serving.join();
+//   server->Shutdown(); serving.join();  // Serve() returns on Shutdown()
 //   auto segments = server->Segments("host7.cpu").value();
 //
 // I/O model (the quickstream bounded-ring flow shape, poll() flavored):
@@ -224,8 +225,6 @@ class CollectorServer {
   // Queues an ERROR and marks the connection to close once it drains.
   void FailConnection(Connection& conn, const std::string& reason);
   void CloseConnection(size_t index);
-  // Applies newly received segments of `state` to its archive handle.
-  Status ArchiveNewSegments(KeyState& state);
 
   const Options options_;
   SocketFd listener_;
@@ -236,13 +235,14 @@ class CollectorServer {
 
   // Per-key decode + archive state; outlives connections (resume).
   struct KeyState {
-    explicit KeyState(std::unique_ptr<WireCodec> codec_in)
-        : codec(std::move(codec_in)), receiver(codec.get()) {}
+    KeyState(std::unique_ptr<WireCodec> codec_in, StreamStorage* storage_in)
+        : codec(std::move(codec_in)),
+          storage(storage_in),
+          receiver(codec.get(), storage) {}
     std::unique_ptr<WireCodec> codec;   // decode chain state
-    Receiver receiver;
+    StreamStorage* storage;             // borrowed; null for "none"
+    Receiver receiver;                  // decodes and archives to storage
     std::string codec_spec;             // canonical, from the hello
-    StreamStorage* storage = nullptr;   // borrowed; null for "none"
-    size_t archived = 0;                // receiver segments archived
     uint64_t applied_seq = 0;           // dedup line for resent frames
     uint16_t dims = 0;
     bool finished = false;

@@ -2,8 +2,8 @@
 //
 // Batch-vs-single equivalence: AppendBatch must produce byte-identical
 // segment chains and statistics to per-point Append at every layer —
-// Filter, FilterBank, ShardedFilterBank (locked and threaded, several
-// shard counts) and Pipeline — across filter families and dimensionalities.
+// Filter, FilterBank, ShardedFilterBank (several shard counts) and
+// Pipeline — across filter families and dimensionalities.
 
 #include <map>
 #include <span>
@@ -164,7 +164,7 @@ TEST(BatchAppendTest, ShardedBankMatrixMatchesSingleBaseline) {
         MakeFilter("slide(eps=0.4,dims=4)"));
   };
 
-  // Baseline: per-point appends through a 1-shard locked bank.
+  // Baseline: per-point appends through a 1-shard bank.
   std::map<std::string, std::vector<Segment>> expected;
   {
     ShardedFilterBank::Options baseline_options;
@@ -182,31 +182,25 @@ TEST(BatchAppendTest, ShardedBankMatrixMatchesSingleBaseline) {
   }
 
   for (const size_t shards : {1u, 3u, 4u}) {
-    for (const bool threaded : {false, true}) {
-      for (const size_t batch : {16u, 256u}) {
-        ShardedFilterBank::Options options;
-        options.shards = shards;
-        options.threaded = threaded;
-        options.queue_capacity = 8;  // exercise backpressure with batches
-        auto bank = ShardedFilterBank::Create(factory, options).value();
-        for (size_t at = 0; at < kPoints; at += batch) {
-          const size_t n = std::min(batch, kPoints - at);
-          for (size_t i = 0; i < kKeys; ++i) {
-            ASSERT_TRUE(bank->AppendBatch(
-                                keys[i], std::span<const DataPoint>(
-                                             &signals[i].points[at], n))
-                            .ok());
-          }
-        }
-        ASSERT_TRUE(bank->FinishAll().ok());
+    for (const size_t batch : {16u, 256u}) {
+      ShardedFilterBank::Options options;
+      options.shards = shards;
+      auto bank = ShardedFilterBank::Create(factory, options).value();
+      for (size_t at = 0; at < kPoints; at += batch) {
+        const size_t n = std::min(batch, kPoints - at);
         for (size_t i = 0; i < kKeys; ++i) {
-          EXPECT_EQ(bank->TakeSegments(keys[i]).value(), expected[keys[i]])
-              << "shards=" << shards << " threaded=" << threaded
-              << " batch=" << batch << " key=" << keys[i];
+          ASSERT_TRUE(bank->AppendBatch(keys[i], std::span<const DataPoint>(
+                                                     &signals[i].points[at], n))
+                          .ok());
         }
-        const auto stats = bank->Stats();
-        EXPECT_EQ(stats.points, kKeys * kPoints);
       }
+      ASSERT_TRUE(bank->FinishAll().ok());
+      for (size_t i = 0; i < kKeys; ++i) {
+        EXPECT_EQ(bank->TakeSegments(keys[i]).value(), expected[keys[i]])
+            << "shards=" << shards << " batch=" << batch << " key=" << keys[i];
+      }
+      const auto stats = bank->Stats();
+      EXPECT_EQ(stats.points, kKeys * kPoints);
     }
   }
 }
@@ -215,17 +209,16 @@ TEST(BatchAppendTest, PipelineBatchMatchesSingle) {
   const Signal a = MakeSignal(1, 2000, 5);
   const Signal b = MakeSignal(1, 2000, 6);
 
-  const auto build = [](size_t shards, bool threaded) {
+  const auto build = [](size_t shards) {
     return Pipeline::Builder()
         .DefaultSpec("slide(eps=0.4)")
         .Codec("delta")
         .Shards(shards)
-        .Threads(threaded)
         .Build()
         .value();
   };
 
-  auto single = build(1, false);
+  auto single = build(1);
   for (const DataPoint& p : a.points) {
     ASSERT_TRUE(single->Append("a", p).ok());
   }
@@ -235,37 +228,31 @@ TEST(BatchAppendTest, PipelineBatchMatchesSingle) {
   ASSERT_TRUE(single->Finish().ok());
 
   for (const size_t shards : {1u, 2u}) {
-    for (const bool threaded : {false, true}) {
-      auto batched = build(shards, threaded);
-      for (size_t at = 0; at < a.points.size(); at += 256) {
-        const size_t n = std::min<size_t>(256, a.points.size() - at);
-        ASSERT_TRUE(batched
-                        ->AppendBatch("a", std::span<const DataPoint>(
-                                               &a.points[at], n))
-                        .ok());
-        ASSERT_TRUE(batched
-                        ->AppendBatch("b", std::span<const DataPoint>(
-                                               &b.points[at], n))
-                        .ok());
-      }
-      ASSERT_TRUE(batched->Finish().ok());
-      EXPECT_EQ(batched->Segments("a").value(), single->Segments("a").value());
-      EXPECT_EQ(batched->Segments("b").value(), single->Segments("b").value());
-      const auto s1 = single->Stats();
-      const auto s2 = batched->Stats();
-      EXPECT_EQ(s1.points, s2.points);
-      EXPECT_EQ(s1.segments, s2.segments);
-      EXPECT_EQ(s1.records_sent, s2.records_sent);
-      // Archives are identical too: same segments, same per-key stores.
-      for (const char* key : {"a", "b"}) {
-        const SegmentStore* lhs = single->Store(key);
-        const SegmentStore* rhs = batched->Store(key);
-        ASSERT_NE(lhs, nullptr);
-        ASSERT_NE(rhs, nullptr);
-        ASSERT_EQ(lhs->segment_count(), rhs->segment_count());
-        for (size_t k = 0; k < lhs->segment_count(); ++k) {
-          EXPECT_EQ(lhs->segments()[k], rhs->segments()[k]);
-        }
+    auto batched = build(shards);
+    for (size_t at = 0; at < a.points.size(); at += 256) {
+      const size_t n = std::min<size_t>(256, a.points.size() - at);
+      const std::span<const DataPoint> a_batch(&a.points[at], n);
+      ASSERT_TRUE(batched->AppendBatch("a", a_batch).ok());
+      const std::span<const DataPoint> b_batch(&b.points[at], n);
+      ASSERT_TRUE(batched->AppendBatch("b", b_batch).ok());
+    }
+    ASSERT_TRUE(batched->Finish().ok());
+    EXPECT_EQ(batched->Segments("a").value(), single->Segments("a").value());
+    EXPECT_EQ(batched->Segments("b").value(), single->Segments("b").value());
+    const auto s1 = single->Stats();
+    const auto s2 = batched->Stats();
+    EXPECT_EQ(s1.points, s2.points);
+    EXPECT_EQ(s1.segments, s2.segments);
+    EXPECT_EQ(s1.records_sent, s2.records_sent);
+    // Archives are identical too: same segments, same per-key stores.
+    for (const char* key : {"a", "b"}) {
+      const SegmentStore* lhs = single->Store(key);
+      const SegmentStore* rhs = batched->Store(key);
+      ASSERT_NE(lhs, nullptr);
+      ASSERT_NE(rhs, nullptr);
+      ASSERT_EQ(lhs->segment_count(), rhs->segment_count());
+      for (size_t k = 0; k < lhs->segment_count(); ++k) {
+        EXPECT_EQ(lhs->segments()[k], rhs->segments()[k]);
       }
     }
   }

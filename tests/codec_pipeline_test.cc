@@ -3,7 +3,7 @@
 // End-to-end codec contract: for every registered codec, the
 // Transmitter -> Channel -> Receiver round trip inside a Pipeline yields
 // segments equal (Segment::operator==) to the filter's direct sink
-// output — across filter families, shard counts, threaded mode and
+// output — across filter families, shard counts, concurrent producers and
 // mid-stream Flush. Also covers the Builder::Codec surface itself.
 
 #include <cctype>
@@ -52,7 +52,7 @@ std::vector<Segment> DirectSegments(const std::string& filter_spec,
 
 class CodecPipelineTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(CodecPipelineTest, SegmentsEqualDirectSinkOutputAcrossShardModes) {
+TEST_P(CodecPipelineTest, SegmentsEqualDirectSinkOutputAcrossShardCounts) {
   const std::vector<std::string> filter_specs{
       "slide(eps=0.6)", "swing(eps=0.8)", "cache(eps=1.2)",
       "slide(eps=0.5,max_lag=64)"};
@@ -63,14 +63,9 @@ TEST_P(CodecPipelineTest, SegmentsEqualDirectSinkOutputAcrossShardModes) {
     expected.push_back(DirectSegments(filter_specs[i], streams[i].second));
   }
 
-  struct Mode {
-    size_t shards;
-    bool threaded;
-  };
-  for (const Mode mode : {Mode{1, false}, Mode{3, false}, Mode{2, true},
-                          Mode{4, true}}) {
+  for (const size_t shards : {1u, 2u, 3u, 4u}) {
     Pipeline::Builder builder;
-    builder.Codec(GetParam()).Shards(mode.shards).Threads(mode.threaded);
+    builder.Codec(GetParam()).Shards(shards);
     for (size_t i = 0; i < filter_specs.size(); ++i) {
       builder.PerKeySpec(streams[i].first, filter_specs[i]);
     }
@@ -84,8 +79,7 @@ TEST_P(CodecPipelineTest, SegmentsEqualDirectSinkOutputAcrossShardModes) {
     for (size_t i = 0; i < streams.size(); ++i) {
       const auto received = pipeline->Segments(streams[i].first).value();
       EXPECT_EQ(received, expected[i])
-          << "codec " << GetParam() << " shards " << mode.shards
-          << (mode.threaded ? " threaded" : " locked") << " key "
+          << "codec " << GetParam() << " shards " << shards << " key "
           << streams[i].first;
     }
   }
@@ -99,8 +93,6 @@ TEST_P(CodecPipelineTest, ConcurrentProducersStayLossless) {
                       .DefaultSpec("slide(eps=0.75)")
                       .Codec(GetParam())
                       .Shards(4)
-                      .Threads(true)
-                      .QueueCapacity(256)
                       .Build()
                       .value();
   std::vector<Signal> signals;

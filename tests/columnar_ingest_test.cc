@@ -113,10 +113,9 @@ TEST(ColumnarIngestTest, PipelineColumnarMatrixShardsAndGuard) {
     signals.push_back(MakeSignal(kDims, kPoints, 70 + i));
   }
 
-  const auto build = [&](size_t shards, bool threaded, bool guarded) {
+  const auto build = [&](size_t shards, bool guarded) {
     Pipeline::Builder builder;
     builder.DefaultSpec(SpecFor("slide", kDims)).Codec("frame").Shards(shards);
-    if (threaded) builder.Threads();
     // The guarded leg uses a real reordering policy; the input is clean,
     // so the guard must admit every point unchanged.
     if (guarded) builder.Ingest("guard(reorder=8,nan=skip)");
@@ -124,7 +123,7 @@ TEST(ColumnarIngestTest, PipelineColumnarMatrixShardsAndGuard) {
   };
 
   // Baseline: per-point appends, one shard, no guard.
-  auto baseline = build(1, false, false);
+  auto baseline = build(1, false);
   for (size_t i = 0; i < kKeys; ++i) {
     for (const DataPoint& p : signals[i].points) {
       ASSERT_TRUE(baseline->Append(keys[i], p).ok());
@@ -135,25 +134,23 @@ TEST(ColumnarIngestTest, PipelineColumnarMatrixShardsAndGuard) {
   std::vector<double> ts;
   std::vector<double> vals;
   for (const size_t shards : {1u, 3u}) {
-    for (const bool threaded : {false, true}) {
-      for (const bool guarded : {false, true}) {
-        auto pipeline = build(shards, threaded, guarded);
-        for (size_t at = 0; at < kPoints; at += 256) {
-          const size_t n = std::min<size_t>(256, kPoints - at);
-          for (size_t i = 0; i < kKeys; ++i) {
-            ToColumns(signals[i].points, at, n, &ts, &vals);
-            ASSERT_TRUE(pipeline->AppendBatch(keys[i], ts, vals).ok());
-          }
-        }
-        ASSERT_TRUE(pipeline->Finish().ok());
+    for (const bool guarded : {false, true}) {
+      auto pipeline = build(shards, guarded);
+      for (size_t at = 0; at < kPoints; at += 256) {
+        const size_t n = std::min<size_t>(256, kPoints - at);
         for (size_t i = 0; i < kKeys; ++i) {
-          EXPECT_EQ(pipeline->Segments(keys[i]).value(),
-                    baseline->Segments(keys[i]).value())
-              << "shards=" << shards << " threaded=" << threaded
-              << " guarded=" << guarded << " key=" << keys[i];
+          ToColumns(signals[i].points, at, n, &ts, &vals);
+          ASSERT_TRUE(pipeline->AppendBatch(keys[i], ts, vals).ok());
         }
-        EXPECT_EQ(pipeline->Stats().points, kKeys * kPoints);
       }
+      ASSERT_TRUE(pipeline->Finish().ok());
+      for (size_t i = 0; i < kKeys; ++i) {
+        EXPECT_EQ(pipeline->Segments(keys[i]).value(),
+                  baseline->Segments(keys[i]).value())
+            << "shards=" << shards << " guarded=" << guarded
+            << " key=" << keys[i];
+      }
+      EXPECT_EQ(pipeline->Stats().points, kKeys * kPoints);
     }
   }
 }

@@ -45,7 +45,6 @@ enum class IngestMode {
 struct PipelineVariant {
   std::string name;            // names the variant in failure messages
   size_t shards = 1;
-  bool threaded = false;
   std::string codec = "frame";
   bool file_storage = false;   // archive to a temp file instead of memory
   bool uds_transport = false;  // ship frames to a uds CollectorServer

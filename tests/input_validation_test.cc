@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
-// Failure-injection suite: malformed inputs, degenerate configurations and
+// Input-validation suite: malformed inputs, degenerate configurations and
 // corrupted transport must surface Status errors (never UB, never a silent
 // wrong answer), and filters must stay usable after rejected inputs.
 

@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // Integration tests for the sharded Pipeline: builder options, end-to-end
-// equivalence across shard counts and execution modes (filter -> wire
-// codec -> receiver -> SegmentStore), counter aggregation, and concurrent
+// equivalence across shard counts (filter -> wire codec -> receiver ->
+// SegmentStore), counter aggregation, mid-stream Flush, and concurrent
 // multi-producer ingest (a TSan CI target together with
 // sharded_filter_bank_test).
 
@@ -31,12 +31,10 @@ double Sample(size_t key_index, int j) {
   return (j % 17) * 0.4 + key_index * 2.0 + (j % 5) * 0.1;
 }
 
-std::unique_ptr<Pipeline> BuildPipeline(size_t shards, bool threaded) {
+std::unique_ptr<Pipeline> BuildPipeline(size_t shards) {
   auto built = Pipeline::Builder()
                    .DefaultSpec("slide(eps=0.5)")
                    .Shards(shards)
-                   .Threads(threaded)
-                   .QueueCapacity(64)
                    .Build();
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(built).value();
@@ -59,30 +57,16 @@ TEST(ShardedPipelineTest, BuilderValidatesShardOptions) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Pipeline::Builder()
-                .DefaultSpec("slide(eps=1)")
-                .Threads()
-                .QueueCapacity(0)
-                .Build()
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // QueueCapacity(0) is irrelevant without Threads().
-  EXPECT_TRUE(Pipeline::Builder()
-                  .DefaultSpec("slide(eps=1)")
-                  .QueueCapacity(0)
-                  .Build()
-                  .ok());
 }
 
-// The acceptance-criteria property: the same key sequence through 1-shard
-// and 8-shard pipelines (locked and threaded) yields identical per-key
-// segment sequences, stats and archives.
-TEST(ShardedPipelineTest, EndToEndIdenticalAcrossShardCountsAndModes) {
+// The acceptance-criteria property: the same key sequence through 1-shard,
+// 4-shard and 8-shard pipelines yields identical per-key segment
+// sequences, stats and archives.
+TEST(ShardedPipelineTest, EndToEndIdenticalAcrossShardCounts) {
   const auto keys = Hosts(11);
   const int points = 300;
 
-  const auto baseline = BuildPipeline(1, false);
+  const auto baseline = BuildPipeline(1);
   Feed(*baseline, keys, points);
   ASSERT_TRUE(baseline->Finish().ok());
   const auto baseline_stats = baseline->Stats();
@@ -93,29 +77,26 @@ TEST(ShardedPipelineTest, EndToEndIdenticalAcrossShardCountsAndModes) {
   }
 
   for (const size_t shards : {4u, 8u}) {
-    for (const bool threaded : {false, true}) {
-      auto pipeline = BuildPipeline(shards, threaded);
-      EXPECT_EQ(pipeline->shard_count(), shards);
-      Feed(*pipeline, keys, points);
-      ASSERT_TRUE(pipeline->Finish().ok());
+    auto pipeline = BuildPipeline(shards);
+    EXPECT_EQ(pipeline->shard_count(), shards);
+    Feed(*pipeline, keys, points);
+    ASSERT_TRUE(pipeline->Finish().ok());
 
-      for (const std::string& key : keys) {
-        EXPECT_EQ(pipeline->Segments(key).value(), expected[key])
-            << "key=" << key << " shards=" << shards
-            << " threaded=" << threaded;
-        // The archive saw the same chain.
-        ASSERT_NE(pipeline->Store(key), nullptr);
-        EXPECT_EQ(pipeline->Store(key)->segment_count(), expected[key].size());
-      }
-
-      // Transport accounting is deterministic too.
-      const auto stats = pipeline->Stats();
-      EXPECT_EQ(stats.streams, baseline_stats.streams);
-      EXPECT_EQ(stats.points, baseline_stats.points);
-      EXPECT_EQ(stats.segments, baseline_stats.segments);
-      EXPECT_EQ(stats.records_sent, baseline_stats.records_sent);
-      EXPECT_EQ(stats.bytes_sent, baseline_stats.bytes_sent);
+    for (const std::string& key : keys) {
+      EXPECT_EQ(pipeline->Segments(key).value(), expected[key])
+          << "key=" << key << " shards=" << shards;
+      // The archive saw the same chain.
+      ASSERT_NE(pipeline->Store(key), nullptr);
+      EXPECT_EQ(pipeline->Store(key)->segment_count(), expected[key].size());
     }
+
+    // Transport accounting is deterministic too.
+    const auto stats = pipeline->Stats();
+    EXPECT_EQ(stats.streams, baseline_stats.streams);
+    EXPECT_EQ(stats.points, baseline_stats.points);
+    EXPECT_EQ(stats.segments, baseline_stats.segments);
+    EXPECT_EQ(stats.records_sent, baseline_stats.records_sent);
+    EXPECT_EQ(stats.bytes_sent, baseline_stats.bytes_sent);
   }
 }
 
@@ -156,19 +137,12 @@ TEST(ShardedPipelineTest, AggregateCountersSumAcrossShards) {
                        "pinning_fallbacks", "unreported_points"}));
 }
 
-TEST(ShardedPipelineTest, FlushSurfacesDeferredErrorsInThreadedMode) {
-  auto pipeline = BuildPipeline(1, true);
-  ASSERT_TRUE(pipeline->Append("a", 10, 0).ok());
-  ASSERT_TRUE(pipeline->Append("a", 5, 0).ok());  // out of order, async
-  EXPECT_EQ(pipeline->Flush().code(), StatusCode::kOutOfOrder);
-}
-
-TEST(ShardedPipelineTest, FlushMakesMidStreamReadsSafeInThreadedMode) {
-  auto pipeline = BuildPipeline(4, true);
+TEST(ShardedPipelineTest, FlushMakesMidStreamReadsSafe) {
+  auto pipeline = BuildPipeline(4);
   const auto keys = Hosts(6);
   Feed(*pipeline, keys, 200);
   ASSERT_TRUE(pipeline->Flush().ok());
-  // After Flush every enqueued point has been filtered, transported and
+  // After Flush every appended point has been filtered, transported and
   // archived; mid-stream reads are coherent.
   size_t points = 0;
   for (const std::string& key : keys) {
@@ -179,42 +153,40 @@ TEST(ShardedPipelineTest, FlushMakesMidStreamReadsSafeInThreadedMode) {
   ASSERT_TRUE(pipeline->Finish().ok());
 }
 
-// Concurrent multi-producer ingest through the full pipeline; the TSan CI
-// configuration runs this against both execution modes.
+// Concurrent multi-producer ingest through the full pipeline; a TSan CI
+// target.
 TEST(ShardedPipelineTest, ConcurrentProducersEndToEnd) {
-  for (const bool threaded : {false, true}) {
-    auto pipeline = BuildPipeline(8, threaded);
-    constexpr int kProducers = 4;
-    constexpr int kKeysPerProducer = 4;
-    constexpr int kPoints = 250;
-    std::atomic<int> failures{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&pipeline, &failures, p] {
-        for (int j = 0; j < kPoints; ++j) {
-          for (int k = 0; k < kKeysPerProducer; ++k) {
-            const std::string key =
-                "prod" + std::to_string(p) + ".metric" + std::to_string(k);
-            if (!pipeline->Append(key, j, (j % 9) * 0.7 + k).ok()) ++failures;
-          }
+  auto pipeline = BuildPipeline(8);
+  constexpr int kProducers = 4;
+  constexpr int kKeysPerProducer = 4;
+  constexpr int kPoints = 250;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&pipeline, &failures, p] {
+      for (int j = 0; j < kPoints; ++j) {
+        for (int k = 0; k < kKeysPerProducer; ++k) {
+          const std::string key =
+              "prod" + std::to_string(p) + ".metric" + std::to_string(k);
+          if (!pipeline->Append(key, j, (j % 9) * 0.7 + k).ok()) ++failures;
         }
-      });
-    }
-    for (auto& producer : producers) producer.join();
-    EXPECT_EQ(failures.load(), 0);
-    ASSERT_TRUE(pipeline->Finish().ok());
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(pipeline->Finish().ok());
 
-    const auto stats = pipeline->Stats();
-    EXPECT_EQ(stats.streams,
-              static_cast<size_t>(kProducers * kKeysPerProducer));
-    EXPECT_EQ(stats.points,
-              static_cast<size_t>(kProducers * kKeysPerProducer * kPoints));
-    // Every stream made it through the wire into a queryable archive.
-    for (const std::string& key : pipeline->Keys()) {
-      ASSERT_NE(pipeline->Store(key), nullptr);
-      EXPECT_GT(pipeline->Store(key)->segment_count(), 0u);
-      EXPECT_TRUE(pipeline->Reconstruction(key).ok());
-    }
+  const auto stats = pipeline->Stats();
+  EXPECT_EQ(stats.streams,
+            static_cast<size_t>(kProducers * kKeysPerProducer));
+  EXPECT_EQ(stats.points,
+            static_cast<size_t>(kProducers * kKeysPerProducer * kPoints));
+  // Every stream made it through the wire into a queryable archive.
+  for (const std::string& key : pipeline->Keys()) {
+    ASSERT_NE(pipeline->Store(key), nullptr);
+    EXPECT_GT(pipeline->Store(key)->segment_count(), 0u);
+    EXPECT_TRUE(pipeline->Reconstruction(key).ok());
   }
 }
 

@@ -4,8 +4,8 @@
 // Build(), the memory/none built-ins, and the file backend's end-to-end
 // contract — a file-backed pipeline's reloaded archive answers
 // ValueAt/RangeAggregate identically to the in-memory backend, for every
-// archive codec × shard count × threaded mode, including reopen-for-
-// append and custom registries.
+// archive codec × shard count, including reopen-for-append and custom
+// registries.
 
 #include <cstdio>
 #include <string>
@@ -189,19 +189,18 @@ TEST(PipelineStorageTest, MemoryBackendReportsZeroStorageBytes) {
 struct FileCase {
   const char* storage_codec;
   size_t shards;
-  bool threaded;
 };
 
 class FileBackendTest : public ::testing::TestWithParam<FileCase> {};
 
-// The acceptance matrix: for each archive codec × shard count × threaded
-// mode, a file-backed pipeline and its reloaded archive answer every
-// query identically to the in-memory backend.
+// The acceptance matrix: for each archive codec × shard count, a
+// file-backed pipeline and its reloaded archive answer every query
+// identically to the in-memory backend.
 TEST_P(FileBackendTest, ReloadedArchiveAnswersLikeMemoryBackend) {
   const FileCase param = GetParam();
   const std::string path = TempPath(
       std::string(param.storage_codec) + "_s" +
-      std::to_string(param.shards) + (param.threaded ? "_t" : "_l"));
+      std::to_string(param.shards));
   std::remove(path.c_str());
 
   const std::vector<std::pair<std::string, Signal>> streams{
@@ -218,7 +217,6 @@ TEST_P(FileBackendTest, ReloadedArchiveAnswersLikeMemoryBackend) {
         .Codec("delta")
         .Storage(storage_spec)
         .Shards(param.shards);
-    if (param.threaded) builder.Threads().QueueCapacity(256);
     return builder.Build().value();
   };
 
@@ -279,13 +277,12 @@ TEST_P(FileBackendTest, ReloadedArchiveAnswersLikeMemoryBackend) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, FileBackendTest,
-    ::testing::Values(FileCase{"frame", 1, false}, FileCase{"delta", 1, false},
-                      FileCase{"frame", 4, false}, FileCase{"delta", 4, false},
-                      FileCase{"frame", 3, true}, FileCase{"delta", 3, true}),
+    ::testing::Values(FileCase{"frame", 1}, FileCase{"delta", 1},
+                      FileCase{"frame", 4}, FileCase{"delta", 4},
+                      FileCase{"frame", 3}, FileCase{"delta", 3}),
     [](const ::testing::TestParamInfo<FileCase>& info) {
       return std::string(info.param.storage_codec) + "Shards" +
-             std::to_string(info.param.shards) +
-             (info.param.threaded ? "Threaded" : "Locked");
+             std::to_string(info.param.shards);
     });
 
 TEST(FileBackendTest, ReopenForAppendContinuesTheArchive) {

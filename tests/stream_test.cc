@@ -2,16 +2,19 @@
 //
 // Unit and integration tests for the stream transport: codec, channel,
 // transmitter and receiver, including full filter -> wire -> reconstruction
-// round trips.
+// round trips and the receiver's sticky archive failure.
 
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/segment_store.h"
 #include "core/slide_filter.h"
 #include "core/swing_filter.h"
 #include "datagen/random_walk.h"
 #include "eval/metrics.h"
+#include "storage/storage_backend.h"
 #include "stream/channel.h"
 #include "stream/codec.h"
 #include "stream/receiver.h"
@@ -288,6 +291,55 @@ TEST(StreamRoundTripTest, CoverageAdvancesWithSegments) {
   ASSERT_TRUE(rx.Poll(&channel).ok());
   EXPECT_GT(rx.coverage_t(), 0.0);
   EXPECT_LT(rx.coverage_t(), 50.0);
+}
+
+// Accepts `budget` segments, then fails every append.
+class FailingStorage : public StreamStorage {
+ public:
+  explicit FailingStorage(size_t budget) : budget_(budget) {}
+  Status Append(const Segment& segment) override {
+    if (appended_ == budget_) return Status::IOError("medium gone");
+    ++appended_;
+    return store_.Append(segment);
+  }
+  const SegmentStore* store() const override { return &store_; }
+  uint64_t bytes_written() const override { return 0; }
+  size_t appended() const { return appended_; }
+
+ private:
+  size_t budget_;
+  size_t appended_ = 0;
+  SegmentStore store_{1};
+};
+
+TEST(StreamRoundTripTest, ReceiverArchiveFailureIsSticky) {
+  Channel channel;
+  Transmitter tx(&channel);
+  FailingStorage storage(3);
+  auto codec = MakeWireCodec("frame").value();
+  Receiver rx(codec.get(), &storage);
+  auto filter = SwingFilter::Create(FilterOptions::Scalar(0.1), &tx).value();
+  const Signal signal = MakeWalk(400, 31);
+  for (const DataPoint& p : signal.points) ASSERT_TRUE(filter->Append(p).ok());
+  ASSERT_TRUE(filter->Finish().ok());
+  ASSERT_GT(channel.queued(), 5u);
+
+  const Status failed = rx.Poll(&channel);
+  EXPECT_EQ(failed.code(), StatusCode::kIOError);
+  EXPECT_EQ(storage.appended(), 3u);
+  // Every later entry point reports the same failure without decoding or
+  // archiving anything more.
+  const size_t received = rx.segments().size();
+  const size_t queued = channel.queued();
+  ASSERT_GT(queued, 0u);
+  EXPECT_EQ(rx.Poll(&channel).ToString(), failed.ToString());
+  EXPECT_EQ(channel.queued(), queued);
+  const std::optional<std::vector<uint8_t>> frame = channel.Pop();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(rx.ApplyFrame(*frame).ToString(), failed.ToString());
+  EXPECT_EQ(rx.FinishStream().ToString(), failed.ToString());
+  EXPECT_EQ(rx.segments().size(), received);
+  EXPECT_EQ(storage.appended(), 3u);
 }
 
 }  // namespace
