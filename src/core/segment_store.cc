@@ -3,10 +3,23 @@
 #include "core/segment_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 namespace plastream {
+
+namespace {
+
+// `cond ? a : b` as a bit mask, so the choice costs no branch to mispredict.
+double SelectBits(bool cond, double a, double b) {
+  const uint64_t mask = -static_cast<uint64_t>(cond);
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(a) & mask) |
+                               (std::bit_cast<uint64_t>(b) & ~mask));
+}
+
+}  // namespace
 
 SegmentStore::SegmentStore(size_t dimensions) : dimensions_(dimensions) {}
 
@@ -85,32 +98,55 @@ Result<SegmentStore::RangeAggregate> SegmentStore::Aggregate(
   if (!(t_begin <= t_end)) {
     return Status::InvalidArgument("reversed aggregate range");
   }
+  const size_t n = segments_.size();
+  size_t idx = LowerBound(t_begin);
+  if (idx == n || segments_[idx].t_start > t_end) {
+    return Status::NotFound("aggregate range touches no segment");
+  }
   RangeAggregate agg;
-  bool any = false;
-  for (size_t idx = LowerBound(t_begin); idx < segments_.size(); ++idx) {
-    const Segment& seg = segments_[idx];
-    if (seg.t_start > t_end) break;
-    // Clip the segment to the query range.
+  // Adds `seg` clipped to the range, with ValueAt at both clipped ends.
+  // Linear pieces: extrema at clip endpoints, integral by trapezoid.
+  auto add_clipped = [&](const Segment& seg, bool first) {
     const double a = std::max(seg.t_start, t_begin);
     const double b = std::min(seg.t_end, t_end);
-    if (a > b) continue;
     const double va = seg.ValueAt(a, dim);
     const double vb = seg.ValueAt(b, dim);
-    if (!any) {
-      agg.min = std::min(va, vb);
-      agg.max = std::max(va, vb);
-      any = true;
-    } else {
-      agg.min = std::min({agg.min, va, vb});
-      agg.max = std::max({agg.max, va, vb});
-    }
-    // Linear pieces: extrema at clip endpoints, integral by trapezoid.
+    agg.min = first ? std::min(va, vb) : std::min({agg.min, va, vb});
+    agg.max = first ? std::max(va, vb) : std::max({agg.max, va, vb});
     agg.integral += 0.5 * (va + vb) * (b - a);
     agg.covered_duration += b - a;
     ++agg.segments_touched;
+  };
+  // Only the first touched segment can start before t_begin.
+  add_clipped(segments_[idx++], /*first=*/true);
+
+  // The run of segments wholly inside the range. There a = t_start and
+  // b = t_end, so ValueAt's weight is exactly +0 at a and exactly 1 at b
+  // and the values below are ValueAt's bits without its two divisions.
+  // Min/max are compare-and-select in std::min/max({m, va, vb})'s order,
+  // and the sums keep the same left-to-right chain (no FP contraction).
+  const size_t run_begin = idx;
+  for (; idx < n && segments_[idx].t_end <= t_end; ++idx) {
+    const Segment& seg = segments_[idx];
+    const double xs = seg.x_start[dim];
+    // A point segment's ValueAt is xs at both ends; a -0 difference makes
+    // both expressions below yield xs bit for bit, since x + -0 == x.
+    const double dx = SelectBits(seg.IsPoint(), -0.0, seg.x_end[dim] - xs);
+    const double va = xs + 0.0 * dx;
+    const double vb = xs + dx;
+    agg.min = va < agg.min ? va : agg.min;
+    agg.min = vb < agg.min ? vb : agg.min;
+    agg.max = agg.max < va ? va : agg.max;
+    agg.max = agg.max < vb ? vb : agg.max;
+    const double span = seg.t_end - seg.t_start;
+    agg.integral += 0.5 * (va + vb) * span;
+    agg.covered_duration += span;
   }
-  if (!any) {
-    return Status::NotFound("aggregate range touches no segment");
+  agg.segments_touched += idx - run_begin;
+
+  // Only the segment after the run can end after t_end.
+  if (idx < n && segments_[idx].t_start <= t_end) {
+    add_clipped(segments_[idx], /*first=*/false);
   }
   agg.mean = agg.covered_duration > 0.0
                  ? agg.integral / agg.covered_duration

@@ -76,6 +76,12 @@ class SegmentStore {
   };
 
   /// Computes RangeAggregate for dimension `dim` over [t_begin, t_end].
+  /// Answers are bit-identical to a left-to-right scan over the touched
+  /// segments that clips each one to the range, evaluates Segment::ValueAt
+  /// at both clipped ends, folds them into min/max with std::min/std::max
+  /// and adds each trapezoid and clipped length in segment order. Segments
+  /// wholly inside the range skip ValueAt's divisions and branches without
+  /// changing a bit (see docs/PERFORMANCE.md, "Range queries").
   /// Errors: InvalidArgument for a reversed range or bad dimension,
   /// NotFound when the range touches no segment.
   Result<RangeAggregate> Aggregate(double t_begin, double t_end,

@@ -125,43 +125,40 @@ Status CheckAccounting(const Scenario& scenario,
 
 std::vector<PipelineVariant> VariantsFor(uint64_t seed) {
   std::vector<PipelineVariant> variants;
-  variants.push_back({"shards1-frame-memory", 1, "frame", false, false});
-  variants.push_back({"shards3-delta", 3, "delta(varint=true)", false, false});
+  variants.push_back({.name = "shards1-frame-memory"});
+  variants.push_back(
+      {.name = "shards3-delta", .shards = 3, .codec = "delta(varint=true)"});
   // Ingest-mode legs: the SIMD batch and columnar paths must match the
   // point-mode reference byte-for-byte on every scenario; the forced-
   // scalar leg proves the vector kernels match their scalar fallback.
-  {
-    PipelineVariant batch{"shards1-frame-batch", 1, "frame", false, false};
-    batch.ingest = IngestMode::kBatch;
-    variants.push_back(batch);
-    PipelineVariant columnar{"shards1-frame-columnar", 1, "frame", false,
-                             false};
-    columnar.ingest = IngestMode::kColumnar;
-    variants.push_back(columnar);
-    if (seed % 2 == 0) {
-      PipelineVariant scalar{"shards1-frame-batch-scalar", 1, "frame", false,
-                             false};
-      scalar.ingest = IngestMode::kBatch;
-      scalar.force_scalar = true;
-      variants.push_back(scalar);
-    }
+  variants.push_back(
+      {.name = "shards1-frame-batch", .ingest = IngestMode::kBatch});
+  variants.push_back(
+      {.name = "shards1-frame-columnar", .ingest = IngestMode::kColumnar});
+  if (seed % 2 == 0) {
+    variants.push_back({.name = "shards1-frame-batch-scalar",
+                        .ingest = IngestMode::kBatch,
+                        .force_scalar = true});
   }
   if (seed % 4 == 0) {
-    variants.push_back(
-        {"shards2-batch-file", 2, "batch(n=7)", true, false});
+    variants.push_back({.name = "shards2-batch-file",
+                        .shards = 2,
+                        .codec = "batch(n=7)",
+                        .file_storage = true});
   }
   if (seed % 8 == 0) {
-    variants.push_back({"shards2-frame-uds", 2, "frame", false, true});
+    variants.push_back(
+        {.name = "shards2-frame-uds", .shards = 2, .uds_transport = true});
   }
   if (seed % 8 == 4) {
     // The chaos leg: the same uds pipeline under a seeded fault schedule
     // (short I/O, transient socket errors). Reconnect-and-resume plus
     // seq-dedup must keep it byte-identical to the fault-free reference.
-    PipelineVariant faulty{"shards2-frame-uds-faults", 2, "frame", false,
-                           true};
-    faulty.fault_plan = "faults(seed=" + std::to_string(seed) +
-                        ",short_io=0.25,err_rate=0.04)";
-    variants.push_back(faulty);
+    variants.push_back({.name = "shards2-frame-uds-faults",
+                        .shards = 2,
+                        .uds_transport = true,
+                        .fault_plan = "faults(seed=" + std::to_string(seed) +
+                                      ",short_io=0.25,err_rate=0.04)"});
   }
   return variants;
 }

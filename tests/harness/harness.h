@@ -53,7 +53,7 @@ struct PipelineVariant {
   // for the duration of the run: socket faults force reconnect/resend
   // paths, and the run must STILL be byte-identical to the fault-free
   // reference variant.
-  std::string fault_plan;
+  std::string fault_plan = "";
   // Routes the families' AppendBatch overrides back through the scalar
   // per-point path (simd::SetForceScalar) for the duration of the run, so
   // the matrix proves the SIMD kernels byte-identical to the scalar path

@@ -1,13 +1,22 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // Unit and property tests for SegmentStore: incremental chain validation,
-// point/range queries, trapezoid integration, and threshold intervals.
+// point/range queries, trapezoid integration, threshold intervals, and
+// bit-identity of the range-aggregate kernel with the plain clipped scan.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/segment_store.h"
 #include "core/slide_filter.h"
 #include "datagen/sea_surface.h"
@@ -258,6 +267,209 @@ TEST(SegmentStoreTest, MultiDimensionalQueries) {
   EXPECT_DOUBLE_EQ(*store.ValueAt(5, 0), 5.0);
   EXPECT_DOUBLE_EQ(*store.ValueAt(5, 1), 95.0);
   EXPECT_DOUBLE_EQ(store.Aggregate(0, 10, 1)->mean, 95.0);
+}
+
+// --- Aggregate exactness ---------------------------------------------------
+
+// The plain clipped scan Aggregate used to run, kept as the reference: every touched
+// segment is clipped and evaluated through Segment::ValueAt. nullopt where
+// the store answers NotFound.
+std::optional<SegmentStore::RangeAggregate> ReferenceAggregate(
+    std::span<const Segment> segments, double t_begin, double t_end,
+    size_t dim) {
+  SegmentStore::RangeAggregate agg;
+  bool any = false;
+  for (const Segment& seg : segments) {
+    if (seg.t_start > t_end) break;
+    const double a = std::max(seg.t_start, t_begin);
+    const double b = std::min(seg.t_end, t_end);
+    if (a > b) continue;
+    const double va = seg.ValueAt(a, dim);
+    const double vb = seg.ValueAt(b, dim);
+    if (!any) {
+      agg.min = std::min(va, vb);
+      agg.max = std::max(va, vb);
+      any = true;
+    } else {
+      agg.min = std::min({agg.min, va, vb});
+      agg.max = std::max({agg.max, va, vb});
+    }
+    agg.integral += 0.5 * (va + vb) * (b - a);
+    agg.covered_duration += b - a;
+    ++agg.segments_touched;
+  }
+  if (!any) return std::nullopt;
+  agg.mean = agg.covered_duration > 0.0
+                 ? agg.integral / agg.covered_duration
+                 : 0.5 * (agg.min + agg.max);
+  return agg;
+}
+
+// Bit pattern of a double: stricter than ==, which equates +0 and -0.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Checks Aggregate against the reference over [t_begin, t_end], dim.
+void ExpectSameAggregate(const SegmentStore& store, double t_begin,
+                         double t_end, size_t dim) {
+  SCOPED_TRACE(::testing::Message() << std::setprecision(17) << "window ["
+                                    << t_begin << ", " << t_end << "] dim "
+                                    << dim);
+  const auto want = ReferenceAggregate(store.segments(), t_begin, t_end, dim);
+  const auto got = store.Aggregate(t_begin, t_end, dim);
+  ASSERT_EQ(got.ok(), want.has_value()) << got.status().ToString();
+  if (!want.has_value()) {
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+    return;
+  }
+  EXPECT_EQ(Bits(got->min), Bits(want->min));
+  EXPECT_EQ(Bits(got->max), Bits(want->max));
+  EXPECT_EQ(Bits(got->integral), Bits(want->integral));
+  EXPECT_EQ(Bits(got->covered_duration), Bits(want->covered_duration));
+  EXPECT_EQ(Bits(got->mean), Bits(want->mean));
+  EXPECT_EQ(got->segments_touched, want->segments_touched);
+}
+
+// A seeded d-dimensional chain starting at t0 that mixes connected
+// pieces, disconnected jumps, coverage gaps, and point segments (some of
+// them with x_end != x_start, which ValueAt ignores), over values that
+// include exact +0 and -0.
+std::vector<Segment> RandomChain(Rng& rng, size_t d, double t0, size_t n) {
+  std::vector<Segment> chain;
+  DimVec x(d);
+  double t = t0;
+  const double scale = std::pow(10.0, rng.Uniform(-3.0, 6.0));
+  auto next_value = [&](double prev) {
+    const uint64_t kind = rng.UniformInt(10);
+    if (kind == 0) return 0.0;
+    if (kind == 1) return -0.0;
+    if (kind == 2) return prev;
+    return prev + scale * rng.Gaussian();
+  };
+  for (size_t k = 0; k < n; ++k) {
+    Segment seg;
+    const uint64_t kind = rng.UniformInt(8);
+    const bool gap = k > 0 && kind == 0;
+    const bool jump = k > 0 && kind == 1;
+    const bool point = kind == 2 || kind == 3;
+    if (gap) t += rng.Uniform(0.5, 4.0);
+    seg.t_start = t;
+    seg.x_start = x;
+    if (k == 0 || gap || jump) {
+      for (size_t i = 0; i < d; ++i) seg.x_start[i] = next_value(x[i]);
+    }
+    seg.connected_to_prev = k > 0 && !gap && !jump;
+    if (point) {
+      seg.t_end = t;
+    } else {
+      // Integral, binary-fractional and arbitrary lengths.
+      const uint64_t len = rng.UniformInt(3);
+      seg.t_end = t + (len == 0   ? static_cast<double>(1 + rng.UniformInt(4))
+                       : len == 1 ? 0.25 * static_cast<double>(
+                                               1 + rng.UniformInt(8))
+                                  : rng.Uniform(0.01, 3.0));
+    }
+    seg.x_end = seg.x_start;
+    if (!point || rng.Bernoulli(0.3)) {
+      for (size_t i = 0; i < d; ++i) seg.x_end[i] = next_value(seg.x_start[i]);
+    }
+    t = seg.t_end;
+    x = seg.x_end;
+    chain.push_back(std::move(seg));
+  }
+  return chain;
+}
+
+TEST(SegmentStoreTest, AggregateKernelEdgeCases) {
+  SegmentStore store(1);
+  // [0,2] ramp, point at 2, [2,4] connected, [4,6] disconnected jump,
+  // gap, [8,10], point at 11.
+  ASSERT_TRUE(store.Append(MakeSegment(0, 2, -0.0, 3)).ok());
+  ASSERT_TRUE(store.Append(MakeSegment(2, 2, 3, 3, true)).ok());
+  ASSERT_TRUE(store.Append(MakeSegment(2, 4, 3, 0.0, true)).ok());
+  ASSERT_TRUE(store.Append(MakeSegment(4, 6, -0.0, -5)).ok());
+  ASSERT_TRUE(store.Append(MakeSegment(8, 10, 1, 2)).ok());
+  ASSERT_TRUE(store.Append(MakeSegment(11, 11, 7, 7)).ok());
+  const double windows[][2] = {
+      {0, 10},   // run holds the point at 2; clipped nothing
+      {-1, 12},  // whole chain, starting and ending in uncovered time
+      {1, 9},    // clipped head and tail
+      {0, 2},    // run ends on the junction at 2 (the [2,4] piece starts)
+      {1, 4},    // run ends where the jump's segment starts
+      {0.5, 1},  // inside one segment: no run at all
+      {2, 2},    // instant on the junction with a point segment
+      {6, 6},    // instant at a chain end before a gap
+      {6.5, 7},  // entirely inside the gap: NotFound
+      {5, 8},    // starts in a segment, ends on a segment start after a gap
+      {7, 11},   // starts in a gap, ends on the trailing point
+      {11, 11},  // instant on the trailing point
+  };
+  for (const auto& w : windows) ExpectSameAggregate(store, w[0], w[1], 0);
+  EXPECT_EQ(store.Aggregate(0, 10, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SegmentStoreTest, AggregateBitIdenticalToReferenceLoop) {
+  // Window kinds the kernel splits on, counted so the sweep provably
+  // reaches each of them.
+  size_t run_with_point = 0, run_ends_on_junction = 0, no_run = 0,
+         clipped_tail = 0, instants = 0;
+  uint64_t seed = 0;
+  for (const size_t d : {1, 4, 12}) {
+    for (const double t0 : {0.0, 1.7e9, 1.7e12}) {
+      for (int rep = 0; rep < 6; ++rep) {
+        Rng rng(++seed);
+        const std::vector<Segment> chain = RandomChain(rng, d, t0, 120);
+        SegmentStore store(d);
+        ASSERT_TRUE(store.AppendAll(chain).ok());
+        // Window ends: segment boundaries (so windows start and end on
+        // junctions and points), gap midpoints, and arbitrary times around
+        // the chain.
+        std::vector<double> ends;
+        for (size_t k = 0; k < chain.size(); ++k) {
+          ends.push_back(chain[k].t_start);
+          ends.push_back(chain[k].t_end);
+          if (k > 0 && chain[k].t_start > chain[k - 1].t_end) {
+            ends.push_back(0.5 * (chain[k - 1].t_end + chain[k].t_start));
+          }
+        }
+        const double lo = store.t_min() - 2.0, hi = store.t_max() + 2.0;
+        for (int w = 0; w < 150; ++w) {
+          double a = rng.Bernoulli(0.6) ? ends[rng.UniformInt(ends.size())]
+                                        : rng.Uniform(lo, hi);
+          double b = rng.Bernoulli(0.15) ? a
+                     : rng.Bernoulli(0.6) ? ends[rng.UniformInt(ends.size())]
+                                          : rng.Uniform(lo, hi);
+          if (b < a) std::swap(a, b);
+          for (size_t dim = 0; dim < d; ++dim) {
+            ExpectSameAggregate(store, a, b, dim);
+          }
+          // Classify the window as the kernel sees it: the first touched
+          // segment, then the run wholly inside, then at most one more.
+          size_t k = 0;
+          while (k < chain.size() && chain[k].t_end < a) ++k;
+          if (k == chain.size() || chain[k].t_start > b) continue;
+          instants += a == b;
+          size_t run = 0;
+          bool point = false;
+          for (++k; k < chain.size() && chain[k].t_end <= b; ++k, ++run) {
+            point = point || chain[k].IsPoint();
+          }
+          no_run += run == 0;
+          run_with_point += point;
+          if (k < chain.size() && chain[k].t_start <= b) {
+            ++clipped_tail;
+            run_ends_on_junction += run > 0 && chain[k].t_start == b;
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(run_with_point, 0u);
+  EXPECT_GT(run_ends_on_junction, 0u);
+  EXPECT_GT(no_run, 0u);
+  EXPECT_GT(clipped_tail, 0u);
+  EXPECT_GT(instants, 0u);
 }
 
 }  // namespace

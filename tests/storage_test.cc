@@ -262,7 +262,9 @@ TEST_P(FileBackendTest, ReloadedArchiveAnswersLikeMemoryBackend) {
       const auto expected = truth->ValueAt(t, 0);
       const auto actual = (*reader)->ValueAt(key, t, 0);
       ASSERT_EQ(expected.ok(), actual.ok());
-      if (expected.ok()) EXPECT_EQ(*expected, *actual);
+      if (expected.ok()) {
+        EXPECT_EQ(*expected, *actual);
+      }
     }
     const auto expected_agg = truth->Aggregate(t0, t1, 0).value();
     const auto actual_agg = (*reader)->RangeAggregate(key, t0, t1, 0).value();
