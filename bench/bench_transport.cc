@@ -11,9 +11,17 @@
 //   $ ./build/bench_transport --soak [--producers N] [--points N]
 //         [--slowloris N] [--faults SPEC] [--json PATH]
 //
+// Each run also reports socket writes per frame: the producer's write
+// syscalls that moved bytes over the FRAME/FINISH messages it queued.
+// The commit run feeds 256 keys one tick at a time and flushes after
+// every tick, as a fleet of periodic reporters does.
+//
 // Gates (exit 1):
 //   * tcp loopback with the batch(n=256) codec sustains >= 100k
 //     points/sec through one connection
+//   * the tcp batch(n=256) commit run stays at <= 0.1 socket writes per
+//     frame: a Flush writes every stream's frames together, not one
+//     write per frame (a count, not a timing, so any runner speed passes)
 //   * every networked run delivers all streams' FINISH to the collector
 //   * the stalled-collector producer queues no more than its unacked
 //     window (+ one frame) and observes >= 1 backpressure stall
@@ -56,6 +64,9 @@ struct Config {
   size_t points_per_key = 20000;
   std::string json_path;
   double min_tcp_batch_pps = 100000.0;
+  size_t commit_keys = 256;
+  size_t commit_ticks = 200;
+  double max_commit_writes_per_frame = 0.1;
 };
 
 struct NetRun {
@@ -64,13 +75,17 @@ struct NetRun {
   double seconds = 0.0;
   double points_per_sec = 0.0;
   size_t wire_bytes = 0;
+  double writes_per_frame = 0.0;  // socket writes / FRAME+FINISH messages
   bool delivered = false;  // collector applied every stream's FINISH
 };
 
-NetRun RunNet(const Config& config, const std::string& transport,
-              const std::string& codec,
+// Streams every key's signal through one producer pipeline, one point
+// per key per tick. With `flush_each_tick` every tick ends in
+// Pipeline::Flush (a commit); otherwise the points stream until the
+// final Finish.
+NetRun RunNet(const std::string& transport, const std::string& codec,
               const std::vector<std::string>& keys,
-              const std::vector<Signal>& signals) {
+              const std::vector<Signal>& signals, bool flush_each_tick) {
   const std::string uds_path = "/tmp/plastream_bench_transport.sock";
   const std::string listen_spec =
       transport == "tcp" ? std::string("tcp(host=127.0.0.1,port=0)")
@@ -86,12 +101,14 @@ NetRun RunNet(const Config& config, const std::string& transport,
                                  .Build(),
                              "Pipeline::Build");
 
+  const size_t points_per_key = signals.front().size();
   const auto start = std::chrono::steady_clock::now();
-  for (size_t j = 0; j < config.points_per_key; ++j) {
+  for (size_t j = 0; j < points_per_key; ++j) {
     for (size_t k = 0; k < keys.size(); ++k) {
       CheckOk(pipeline->Append(keys[k], signals[k].points[j]),
               "Pipeline::Append");
     }
+    if (flush_each_tick) CheckOk(pipeline->Flush(), "Pipeline::Flush");
   }
   CheckOk(pipeline->Finish(), "Pipeline::Finish");
   const std::chrono::duration<double> elapsed =
@@ -102,9 +119,11 @@ NetRun RunNet(const Config& config, const std::string& transport,
   run.codec = codec;
   run.seconds = elapsed.count();
   run.points_per_sec =
-      static_cast<double>(keys.size() * config.points_per_key) /
-      elapsed.count();
-  run.wire_bytes = pipeline->Stats().transport.bytes_sent;
+      static_cast<double>(keys.size() * points_per_key) / elapsed.count();
+  const TransportStats stats = pipeline->Stats().transport;
+  run.wire_bytes = stats.bytes_sent;
+  run.writes_per_frame = static_cast<double>(stats.socket_writes) /
+                         static_cast<double>(stats.frames_sent);
   run.delivered = server->GetStats().streams_finished == keys.size();
 
   server->Shutdown();
@@ -414,6 +433,20 @@ int SoakMain(const SoakConfig& config) {
              : 1;
 }
 
+// Appends `count` random-walk keys "<prefix><i>.metric" of `points`
+// points each, seeded from `seed`.
+void MakeWalks(const char* prefix, size_t count, size_t points, uint64_t seed,
+               std::vector<std::string>* keys, std::vector<Signal>* signals) {
+  for (size_t i = 0; i < count; ++i) {
+    keys->push_back(prefix + std::to_string(i) + ".metric");
+    RandomWalkOptions walk;
+    walk.count = points;
+    walk.max_delta = 0.8;
+    walk.seed = seed + i;
+    signals->push_back(ValueOrDie(GenerateRandomWalk(walk), "random walk"));
+  }
+}
+
 int Main(int argc, char** argv) {
   Config config;
   SoakConfig soak;
@@ -457,38 +490,49 @@ int Main(int argc, char** argv) {
 
   std::vector<std::string> keys;
   std::vector<Signal> signals;
-  for (size_t i = 0; i < config.keys; ++i) {
-    keys.push_back("host" + std::to_string(i) + ".metric");
-    RandomWalkOptions walk;
-    walk.count = config.points_per_key;
-    walk.max_delta = 0.8;
-    walk.seed = 4000 + i;
-    signals.push_back(ValueOrDie(GenerateRandomWalk(walk), "random walk"));
-  }
+  MakeWalks("host", config.keys, config.points_per_key, 4000, &keys,
+            &signals);
 
   std::printf("Transport loopback: %zu keys x %zu points through one "
               "connection\n\n",
               config.keys, config.points_per_key);
-  std::printf("%-6s %-14s %10s %16s %14s %10s\n", "wire", "codec",
-              "seconds", "points/sec", "wire-bytes", "finish");
+  std::printf("%-6s %-14s %10s %16s %14s %13s %10s\n", "wire", "codec",
+              "seconds", "points/sec", "wire-bytes", "writes/frame",
+              "finish");
+  const auto print_run = [](const NetRun& run) {
+    std::printf("%-6s %-14s %10.3f %16.0f %14zu %13.3f %10s\n",
+                run.transport.c_str(), run.codec.c_str(), run.seconds,
+                run.points_per_sec, run.wire_bytes, run.writes_per_frame,
+                run.delivered ? "applied" : "LOST");
+  };
 
   std::vector<NetRun> runs;
   double tcp_batch_pps = 0.0;
   bool all_delivered = true;
   for (const char* transport : {"uds", "tcp"}) {
     for (const char* codec : {"frame", "delta", "batch(n=256)"}) {
-      const NetRun run = RunNet(config, transport, codec, keys, signals);
+      const NetRun run =
+          RunNet(transport, codec, keys, signals, /*flush_each_tick=*/false);
       runs.push_back(run);
       all_delivered = all_delivered && run.delivered;
       if (run.transport == "tcp" && run.codec == "batch(n=256)") {
         tcp_batch_pps = run.points_per_sec;
       }
-      std::printf("%-6s %-14s %10.3f %16.0f %14zu %10s\n",
-                  run.transport.c_str(), run.codec.c_str(), run.seconds,
-                  run.points_per_sec, run.wire_bytes,
-                  run.delivered ? "applied" : "LOST");
+      print_run(run);
     }
   }
+
+  std::vector<std::string> commit_keys;
+  std::vector<Signal> commit_signals;
+  MakeWalks("fleet", config.commit_keys, config.commit_ticks, 5000,
+            &commit_keys, &commit_signals);
+  std::printf("\ncommits: %zu keys x %zu ticks, Pipeline::Flush after "
+              "every tick\n",
+              config.commit_keys, config.commit_ticks);
+  const NetRun commit = RunNet("tcp", "batch(n=256)", commit_keys,
+                               commit_signals, /*flush_each_tick=*/true);
+  all_delivered = all_delivered && commit.delivered;
+  print_run(commit);
 
   const StallRun stall = RunStalledCollector();
   std::printf("\nstalled collector: %zu x %zu-byte frames accepted into a "
@@ -498,11 +542,15 @@ int Main(int argc, char** argv) {
               stall.bounded ? "bounded" : "UNBOUNDED");
 
   const bool throughput_ok = tcp_batch_pps >= config.min_tcp_batch_pps;
+  const bool writes_ok =
+      commit.writes_per_frame <= config.max_commit_writes_per_frame;
   const bool stall_ok = stall.bounded && stall.backpressure_stalls >= 1;
   std::printf("\nshape: tcp+batch(n=256) %.0f points/sec (gate %.0f) %s; "
+              "commit writes/frame %.3f (gate %.1f) %s; "
               "producer memory under a stalled collector is %s\n",
               tcp_batch_pps, config.min_tcp_batch_pps,
-              throughput_ok ? "OK" : "FAIL",
+              throughput_ok ? "OK" : "FAIL", commit.writes_per_frame,
+              config.max_commit_writes_per_frame, writes_ok ? "OK" : "FAIL",
               stall_ok ? "bounded" : "NOT BOUNDED");
 
   if (!config.json_path.empty()) {
@@ -520,14 +568,23 @@ int Main(int argc, char** argv) {
       std::fprintf(out,
                    "    {\"transport\": \"%s\", \"codec\": \"%s\", "
                    "\"seconds\": %.6f, \"points_per_sec\": %.0f, "
-                   "\"wire_bytes\": %zu, \"delivered\": %s}%s\n",
+                   "\"wire_bytes\": %zu, \"writes_per_frame\": %.4f, "
+                   "\"delivered\": %s}%s\n",
                    run.transport.c_str(), run.codec.c_str(), run.seconds,
-                   run.points_per_sec, run.wire_bytes,
+                   run.points_per_sec, run.wire_bytes, run.writes_per_frame,
                    run.delivered ? "true" : "false",
                    i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out,
-                 "  ],\n  \"stalled_collector\": {\"frames_accepted\": %zu, "
+                 "  ],\n  \"commits\": {\"transport\": \"tcp\", "
+                 "\"codec\": \"batch(n=256)\", \"keys\": %zu, "
+                 "\"ticks\": %zu, \"points_per_sec\": %.0f, "
+                 "\"writes_per_frame\": %.4f, \"delivered\": %s},\n",
+                 config.commit_keys, config.commit_ticks,
+                 commit.points_per_sec, commit.writes_per_frame,
+                 commit.delivered ? "true" : "false");
+    std::fprintf(out,
+                 "  \"stalled_collector\": {\"frames_accepted\": %zu, "
                  "\"window_bytes\": %zu, \"backpressure_stalls\": %llu, "
                  "\"bounded\": %s}\n}\n",
                  stall.frames_accepted, stall.window_bytes,
@@ -536,7 +593,7 @@ int Main(int argc, char** argv) {
     std::fclose(out);
     std::printf("wrote %s\n", config.json_path.c_str());
   }
-  return throughput_ok && all_delivered && stall_ok ? 0 : 1;
+  return throughput_ok && writes_ok && all_delivered && stall_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -42,11 +42,11 @@ struct FilterSpec {
   /// The shared configuration (ε vector, max_lag). An empty epsilon means
   /// "unset": the spec names a family but the precision profile is supplied
   /// later (e.g. by RunFilter's options overload).
-  FilterOptions options;
+  FilterOptions options = {};
 
   /// Family-specific parameters, e.g. {"hull", "binary"} for a slide spec.
   /// Keys are sorted, which makes Format() deterministic.
-  std::map<std::string, std::string, std::less<>> params;
+  std::map<std::string, std::string, std::less<>> params = {};
 
   /// Parses a spec string. Errors with InvalidArgument on malformed syntax,
   /// bad numbers, duplicate keys, a `dims` that contradicts a per-dimension

@@ -232,12 +232,17 @@ Status IngestGuard::Admit(const DataPoint& point) {
     return Status::OK();
   }
 
+  // In order (the common case): append without a search or a shift.
+  if (head_ == buffer_.size() || buffer_.back().t < point.t) {
+    buffer_.push_back(point);
+    return Release(policy_.reorder);
+  }
   // Sorted insert; an equal-timestamp hit inside the buffer is a
   // duplicate the policy can still resolve in place.
   const auto at = std::lower_bound(
-      buffer_.begin(), buffer_.end(), point.t,
-      [](const DataPoint& held, double t) { return held.t < t; });
-  if (at != buffer_.end() && at->t == point.t) {
+      buffer_.begin() + static_cast<std::ptrdiff_t>(head_), buffer_.end(),
+      point.t, [](const DataPoint& held, double t) { return held.t < t; });
+  if (at->t == point.t) {
     switch (policy_.dup) {
       case DupPolicy::kError:
         return Status::OutOfOrder("duplicate timestamp " +
@@ -252,14 +257,26 @@ Status IngestGuard::Admit(const DataPoint& point) {
         return Status::OK();
     }
   }
-  if (at != buffer_.end()) ++stats_.reordered;
+  ++stats_.reordered;
   buffer_.insert(at, point);
-  while (buffer_.size() > policy_.reorder) {
-    // Releases can only fail on filter errors (cut/append), never on
-    // ordering: the buffer is sorted and strictly above the watermark.
-    const DataPoint released = std::move(buffer_.front());
-    buffer_.erase(buffer_.begin());
+  return Release(policy_.reorder);
+}
+
+Status IngestGuard::Release(size_t keep) {
+  // Releases can only fail on filter errors (cut/append), never on
+  // ordering: the buffer is sorted and strictly above the watermark. A
+  // point leaves the buffer before it is forwarded, so a failed release
+  // consumes it, as a failed Append consumes its point.
+  while (buffered() > keep) {
+    const DataPoint& released = buffer_[head_++];
     PLASTREAM_RETURN_NOT_OK(Forward(released));
+  }
+  // Compact once the released prefix outgrows the held points, so each
+  // release costs O(1) amortized moves instead of shifting the buffer.
+  if (head_ > 0 && head_ >= buffered()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
   return Status::OK();
 }
@@ -317,13 +334,6 @@ Status IngestGuard::AdmitBatch(std::span<const double> ts,
   return Status::OK();
 }
 
-Status IngestGuard::Flush() {
-  while (!buffer_.empty()) {
-    const DataPoint released = std::move(buffer_.front());
-    buffer_.erase(buffer_.begin());
-    PLASTREAM_RETURN_NOT_OK(Forward(released));
-  }
-  return Status::OK();
-}
+Status IngestGuard::Flush() { return Release(0); }
 
 }  // namespace plastream

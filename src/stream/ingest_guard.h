@@ -159,7 +159,7 @@ class IngestGuard {
   Status Flush();
 
   /// Points currently held in the reorder buffer.
-  size_t buffered() const { return buffer_.size(); }
+  size_t buffered() const { return buffer_.size() - head_; }
 
   /// Guard decision counters so far.
   const IngestGuardStats& stats() const { return stats_; }
@@ -171,9 +171,14 @@ class IngestGuard {
   // Applies pending/gap cuts and appends one in-order point.
   Status Forward(const DataPoint& point);
 
+  // Forwards the oldest held points until at most `keep` remain.
+  Status Release(size_t keep);
+
   IngestPolicy policy_;
   Filter* filter_;
-  std::vector<DataPoint> buffer_;  // sorted by t, ascending
+  // Sorted by t, ascending; [0, head_) is released and awaits compaction.
+  std::vector<DataPoint> buffer_;
+  size_t head_ = 0;
   DataPoint columnar_scratch_;     // reused row for columnar slow path
   bool cut_pending_ = false;
   bool has_watermark_ = false;

@@ -353,7 +353,11 @@ Status Pipeline::DrainKey(std::string_view key) {
     }
     stream = &it->second;
   }
-  return Drain(*stream);
+  // Over a remote transport Drain only queues; one Push per call hands
+  // this call's frames to the wire before Append returns.
+  const bool queued = stream->link != nullptr && stream->channel.queued() > 0;
+  PLASTREAM_RETURN_NOT_OK(Drain(*stream));
+  return queued ? transport_->Push() : Status::OK();
 }
 
 Status Pipeline::Flush() {
@@ -369,8 +373,9 @@ Status Pipeline::Flush() {
     }
   }
   // Durability point: everything archived so far reaches the backend's
-  // medium — and, over a remote transport, everything sent is
-  // acknowledged by the collector — before Flush returns.
+  // medium — and, over a remote transport, every stream's queued frames
+  // leave in one write and are acknowledged by the collector — before
+  // Flush returns.
   PLASTREAM_RETURN_NOT_OK(transport_->Flush());
   return storage_->Flush();
 }
@@ -378,8 +383,8 @@ Status Pipeline::Flush() {
 Status Pipeline::Drain(Stream& stream) {
   PLASTREAM_RETURN_NOT_OK(stream.transmitter->status());
   if (stream.link != nullptr) {
-    // Remote: every queued frame goes out over the transport, which may
-    // block on backpressure and reconnect under the hood.
+    // Remote: every frame is queued on the link; the caller's Push or
+    // Flush writes it. A full window blocks here (backpressure).
     while (std::optional<std::vector<uint8_t>> frame = stream.channel.Pop()) {
       PLASTREAM_RETURN_NOT_OK(stream.link->SendFrame(*frame));
       stream.channel.Recycle(std::move(*frame));

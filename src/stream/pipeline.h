@@ -214,10 +214,12 @@ class Pipeline {
 
   /// Flushes each stream's codec — a buffering codec like "batch" holds
   /// records until flushed — and drains the transports into the
-  /// receivers and archives. Reports the first error; the pipeline stays
-  /// open for more appends. Call between producer phases
-  /// (never concurrently with Append) to make the read accessors safe and
-  /// complete mid-stream.
+  /// receivers and archives. Over a remote transport every stream's
+  /// frames are queued and leave together, in one write when the socket
+  /// takes them, before the wait for the collector's ACKs. Reports the
+  /// first error; the pipeline stays open for more appends. Call between
+  /// producer phases (never concurrently with Append) to make the read
+  /// accessors safe and complete mid-stream.
   Status Flush();
 
   /// Finishes every filter, drains the transports, and completes the
@@ -284,8 +286,9 @@ class Pipeline {
     size_t bytes_sent = 0;         ///< encoded bytes on all channels
     size_t bytes_raw = 0;          ///< (t, X) doubles of the raw input
     size_t storage_bytes = 0;      ///< bytes on the storage backend's medium
-    /// Transport-level counters (socket bytes, resends, reconnects,
-    /// backpressure stalls). All zero for the default inproc transport.
+    /// Transport-level counters (socket bytes and writes, resends,
+    /// reconnects, backpressure stalls). All zero for the default inproc
+    /// transport.
     TransportStats transport;
     /// Ingest-guard decision counters (reorders, late drops, NaN skips,
     /// gap cuts, duplicate resolutions). All zero for the default
@@ -380,11 +383,12 @@ class Pipeline {
            ShardedFilterBank::Options bank_options);
 
   // Decodes (and thereby archives) whatever the transmitter queued, or
-  // ships it over the remote link.
+  // queues it on the remote link.
   Status Drain(Stream& stream);
 
-  // Post-append hook: drains the appended key's transport, running on the
-  // producer thread while the key's shard is exclusively held.
+  // Post-append hook: drains the appended key's transport and, when that
+  // queued a frame, pushes it to the wire; runs on the producer thread
+  // while the key's shard is exclusively held.
   Status DrainKey(std::string_view key);
 
   const Stream* Find(std::string_view key) const;

@@ -48,7 +48,10 @@ class NetTransport final : public Transport {
     PLASTREAM_ASSIGN_OR_RETURN(
         client_, ProducerClient::Connect(spec_.Format(),
                                          std::string(codec_spec)));
-    return Status::OK();
+    // Send the hello now: stream openings and frames only leave with a
+    // Push or Flush, and the first may come later than the collector's
+    // handshake deadline allows.
+    return client_->Push();
   }
 
   Result<std::unique_ptr<TransportLink>> OpenLink(std::string_view key,
@@ -60,6 +63,11 @@ class NetTransport final : public Transport {
                                client_->OpenStream(key, dims));
     return std::unique_ptr<TransportLink>(
         new NetTransportLink(client_.get(), stream_id));
+  }
+
+  Status Push() override {
+    if (client_ == nullptr) return Status::OK();
+    return client_->Push();
   }
 
   Status Flush() override {
@@ -76,6 +84,7 @@ class NetTransport final : public Transport {
     stats.frames_resent = client_stats.frames_resent;
     stats.reconnects = client_stats.reconnects;
     stats.backpressure_stalls = client_stats.backpressure_stalls;
+    stats.socket_writes = client_stats.socket_writes;
     return stats;
   }
 

@@ -163,6 +163,7 @@ Status ProducerClient::PumpOnce(bool block) {
     if (outcome == IoOutcome::kProgress) {
       out_written_ += n;
       bytes_sent_.fetch_add(n, std::memory_order_relaxed);
+      socket_writes_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (outcome == IoOutcome::kWouldBlock) break;
@@ -221,13 +222,17 @@ Status ProducerClient::HandleIncoming() {
           stream->second.acked_seq =
               std::max(stream->second.acked_seq, ack.seq);
         }
-        // Cumulative: everything on this stream at or below seq is safe.
-        std::erase_if(unacked_, [&](const Pending& pending) {
-          const bool covered = pending.stream_id == ack.stream_id &&
-                               pending.seq <= ack.seq;
-          if (covered) unacked_bytes_ -= pending.message.size();
-          return covered;
-        });
+        // Cumulative per stream, and the collector ACKs a connection's
+        // messages in the order they were sent, so covered entries sit
+        // at the front. After a reconnect a resend is re-ACKed with its
+        // stream's whole applied line, which can cover entries behind
+        // another stream's; those pop as soon as they reach the front.
+        while (!unacked_.empty()) {
+          const Pending& front = unacked_.front();
+          if (front.seq > streams_.at(front.stream_id).acked_seq) break;
+          unacked_bytes_ -= front.message.size();
+          unacked_.pop_front();
+        }
         break;
       }
       case NetMessageType::kError: {
@@ -270,7 +275,6 @@ Result<uint32_t> ProducerClient::OpenStream(std::string_view key,
   std::vector<uint8_t> message;
   AppendOpenStreamMessage(&message, stream_id, dims, key);
   QueueBytes(message);
-  PLASTREAM_RETURN_NOT_OK(PumpOnce(/*block=*/false));
   return stream_id;
 }
 
@@ -296,12 +300,12 @@ Status ProducerClient::SendFrame(uint32_t stream_id,
   unacked_.push_back(std::move(pending));
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
 
-  PLASTREAM_RETURN_NOT_OK(PumpOnce(/*block=*/false));
   if (unacked_bytes_ > options_.max_unacked_bytes) {
-    // Backpressure: the collector (or the wire) is behind; hold the
-    // producer here until the ACK line catches up.
+    // Backpressure: queued plus in-flight bytes passed the window, so
+    // write the queue and hold the producer here until the ACK line
+    // catches up.
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
-    PLASTREAM_RETURN_NOT_OK(DrainUntil(options_.max_unacked_bytes));
+    return DrainUntil(options_.max_unacked_bytes);
   }
   return Status::OK();
 }
@@ -324,6 +328,13 @@ Status ProducerClient::FinishStream(uint32_t stream_id) {
   QueueBytes(pending.message);
   unacked_.push_back(std::move(pending));
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status ProducerClient::Push() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  PLASTREAM_RETURN_NOT_OK(sticky_);
+  if (out_written_ == outbuf_.size()) return Status::OK();  // no syscall
   return PumpOnce(/*block=*/false);
 }
 
@@ -347,6 +358,7 @@ ProducerClient::Stats ProducerClient::GetStats() const {
   stats.backpressure_stalls =
       backpressure_stalls_.load(std::memory_order_relaxed);
   stats.acks_received = acks_received_.load(std::memory_order_relaxed);
+  stats.socket_writes = socket_writes_.load(std::memory_order_relaxed);
   return stats;
 }
 

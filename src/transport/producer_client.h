@@ -2,8 +2,15 @@
 //
 // ProducerClient: the producer half of the network transport. It owns one
 // socket to a CollectorServer, frames codec output into the wire
-// protocol, and gives the transports two guarantees the Pipeline relies
-// on:
+// protocol, and gives the transports three guarantees the Pipeline
+// relies on:
+//
+//  * Batched writes. OpenStream, SendFrame and FinishStream only queue
+//    their message. Queued bytes reach the socket through Push() (write
+//    what the socket takes, read waiting ACKs, never block), Flush()
+//    (write, then wait for every ACK) or the backpressure stall below,
+//    and through nothing else. A caller that queues many frames and
+//    then pushes once pays one write for all of them.
 //
 //  * Reconnect-and-resume. Every frame gets a per-stream sequence number
 //    and sits in a bounded resend buffer until the collector's cumulative
@@ -14,12 +21,13 @@
 //    collector drops already-applied sequence numbers before they reach
 //    the codec, so the resumed stream decodes byte-identically.
 //
-//  * Backpressure. SendFrame blocks while the unacknowledged window is
-//    over max_unacked_bytes, pumping socket I/O until ACKs drain it —
+//  * Backpressure. Queued and in-flight messages both count against
+//    max_unacked_bytes. A SendFrame that takes them over it writes the
+//    queue and blocks, pumping socket I/O until ACKs drain the window —
 //    a stalled collector surfaces as blocked producers plus one bounded
 //    buffer per side, never unbounded memory. Stalls are counted.
 //
-// Thread model: one coarse mutex serializes Open/Send/Finish/Flush;
+// Thread model: one coarse mutex serializes Open/Send/Finish/Push/Flush;
 // stats are atomics so GetStats() never blocks behind a stalled send.
 
 #ifndef PLASTREAM_TRANSPORT_PRODUCER_CLIENT_H_
@@ -51,8 +59,8 @@ class ProducerClient {
   /// Client tuning; the transport specs' max_unacked_kb / retries /
   /// backoff_ms params land here.
   struct Options {
-    /// Resend-window bound; SendFrame blocks while unacked bytes exceed
-    /// it (the backpressure surface).
+    /// Resend-window bound; SendFrame blocks while queued plus unacked
+    /// bytes exceed it (the backpressure surface).
     size_t max_unacked_bytes = 4 * 1024 * 1024;
     /// Redial attempts per broken connection before giving up.
     size_t retries = 8;
@@ -79,12 +87,13 @@ class ProducerClient {
     uint64_t reconnects = 0;           ///< successful redials after a drop
     uint64_t backpressure_stalls = 0;  ///< sends that blocked on the window
     uint64_t acks_received = 0;        ///< ACK messages processed
+    uint64_t socket_writes = 0;        ///< write syscalls that moved bytes
   };
 
-  /// Dials `endpoint` and sends the hello carrying `codec_spec` (the
+  /// Dials `endpoint` and queues the hello carrying `codec_spec` (the
   /// canonical spec every stream on this connection encodes with).
   /// The hello is one-way: a collector that rejects it answers with an
-  /// ERROR that surfaces from the next Send/Flush.
+  /// ERROR that surfaces from the next Push/Flush.
   static Result<std::unique_ptr<ProducerClient>> Connect(
       const NetEndpoint& endpoint, std::string codec_spec, Options options);
   /// Same, with default Options.
@@ -106,27 +115,35 @@ class ProducerClient {
   ProducerClient(const ProducerClient&) = delete;
   ProducerClient& operator=(const ProducerClient&) = delete;
 
-  /// Declares a stream for `key` with `dims` value dimensions and returns
-  /// the connection-local stream id frames are sent under.
+  /// Queues the declaration of a stream for `key` with `dims` value
+  /// dimensions and returns the connection-local stream id frames are
+  /// sent under.
   Result<uint32_t> OpenStream(std::string_view key, uint16_t dims);
 
-  /// Queues one codec frame for `stream_id` and pumps socket I/O. Blocks
-  /// while the unacked window is full; reconnects and resends through
-  /// dropped connections. Errors are sticky: a collector ERROR or an
-  /// exhausted redial budget fails this and every later call.
+  /// Queues one codec frame for `stream_id`; it leaves with the next
+  /// Push() or Flush(). When queued plus unacked bytes pass the window,
+  /// writes the queue and blocks until ACKs drain it (backpressure);
+  /// reconnects and resends through dropped connections. Errors are
+  /// sticky: a collector ERROR or an exhausted redial budget fails this
+  /// and every later call.
   Status SendFrame(uint32_t stream_id, std::span<const uint8_t> frame);
 
-  /// Sends the end-of-stream marker for `stream_id` (sequenced and
+  /// Queues the end-of-stream marker for `stream_id` (sequenced and
   /// resent like a frame).
   Status FinishStream(uint32_t stream_id);
 
-  /// Blocks until every queued message has been sent AND acknowledged —
-  /// after Flush() the collector's decode state provably covers
-  /// everything sent.
+  /// Writes as much of the queue as the socket takes and reads any ACKs
+  /// already waiting, without blocking; reconnects a dropped link. With
+  /// nothing queued it returns at once and makes no syscall.
+  Status Push();
+
+  /// Writes the queue, then blocks until every message has been
+  /// acknowledged — after Flush() the collector's decode state provably
+  /// covers everything queued.
   Status Flush();
 
   /// Test hook: hard-closes the socket as a network partition would.
-  /// The next Send/Flush redials and resends unacked frames.
+  /// The next Push/Flush redials and resends unacked frames.
   void DebugDropConnection();
 
   /// Unblocks a send stalled on backpressure with an Aborted error (no
@@ -178,8 +195,8 @@ class ProducerClient {
   Status sticky_ = Status::OK();
   std::map<uint32_t, StreamState> streams_;
   uint32_t next_stream_id_ = 1;
-  std::deque<Pending> unacked_;
-  size_t unacked_bytes_ = 0;
+  std::deque<Pending> unacked_;  // send order; ACKs trim the front
+  size_t unacked_bytes_ = 0;     // queued or in flight, not yet ACKed
   std::vector<uint8_t> outbuf_;  // bytes queued for the socket
   size_t out_written_ = 0;
   FrameSplitter incoming_;
@@ -191,6 +208,7 @@ class ProducerClient {
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> backpressure_stalls_{0};
   std::atomic<uint64_t> acks_received_{0};
+  std::atomic<uint64_t> socket_writes_{0};
 };
 
 }  // namespace plastream

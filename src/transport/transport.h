@@ -45,6 +45,7 @@ struct TransportStats {
   uint64_t frames_resent = 0;        ///< frames replayed after reconnects
   uint64_t reconnects = 0;           ///< successful redials after a drop
   uint64_t backpressure_stalls = 0;  ///< sends that blocked on the window
+  uint64_t socket_writes = 0;        ///< write syscalls that moved bytes
 };
 
 /// The per-stream sending side of a remote transport. One link carries
@@ -54,12 +55,13 @@ class TransportLink {
   /// Links are deleted through the base interface.
   virtual ~TransportLink() = default;
 
-  /// Ships one codec frame. May block (backpressure) and may reconnect
-  /// under the hood; an error is permanent for the whole transport.
+  /// Queues one codec frame; it leaves with the transport's next Push()
+  /// or Flush(). May block (backpressure) and may reconnect under the
+  /// hood; an error is permanent for the whole transport.
   virtual Status SendFrame(std::span<const uint8_t> frame) = 0;
 
-  /// Marks the stream finished at the far end (sequenced and resent like
-  /// a frame). Idempotent.
+  /// Queues the stream's end marker (sequenced and resent like a frame).
+  /// Idempotent.
   virtual Status Finish() = 0;
 };
 
@@ -86,8 +88,15 @@ class Transport {
   virtual Result<std::unique_ptr<TransportLink>> OpenLink(
       std::string_view key, uint16_t dims) = 0;
 
-  /// Blocks until everything sent on every link is acknowledged by the
-  /// far end. No-op for the in-process transport.
+  /// Hands everything queued on every link to the wire without waiting
+  /// for acknowledgments. The Pipeline calls it once per Append that
+  /// queued a frame, so a frame leaves before that Append returns.
+  /// Must not block on the far end and should make no syscall with
+  /// nothing queued. The default (in-process transport) does nothing.
+  virtual Status Push() { return Status::OK(); }
+
+  /// Writes everything queued on every link, then blocks until the far
+  /// end has acknowledged all of it. No-op for the in-process transport.
   virtual Status Flush() = 0;
 
   /// Counter snapshot (thread-safe, non-blocking).

@@ -6,6 +6,7 @@
 // FilterBank, Pipeline::Builder::Ingest and the `[pipeline] ingest =`
 // config key — including the Stats().ingest counters.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/filter_registry.h"
 #include "stream/filter_bank.h"
 #include "stream/ingest_guard.h"
@@ -352,6 +354,164 @@ TEST_F(GuardTest, DimensionMismatchIsAlwaysAnError) {
   Attach("guard(reorder=4,nan=skip)");
   EXPECT_EQ(guard_->Admit(DataPoint(1.0, {1.0, 2.0})).code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- reorder buffer against a reference model --------------------------------
+
+// Records every point it is handed, in order; no approximation.
+class RecordingFilter final : public Filter {
+ public:
+  RecordingFilter() : Filter(FilterOptions::Uniform(1, 1.0)) {}
+  std::string_view name() const override { return "recording"; }
+  std::vector<DataPoint> forwarded;
+
+ protected:
+  Status AppendValidated(const DataPoint& point) override {
+    forwarded.push_back(point);
+    return Status::OK();
+  }
+  Status FinishImpl() override { return Status::OK(); }
+  Status CutImpl() override { return Status::OK(); }
+};
+
+// The reorder window as a specification: an arrival-order buffer that is
+// stable-sorted before every release, behind the same watermark rules.
+class ReferenceGuard {
+ public:
+  ReferenceGuard(size_t reorder, DupPolicy dup)
+      : reorder_(reorder), dup_(dup) {}
+
+  StatusCode Admit(const DataPoint& point) {
+    if (has_watermark_ && point.t <= watermark_) {
+      if (point.t == watermark_ && dup_ == DupPolicy::kError) {
+        return StatusCode::kOutOfOrder;
+      }
+      if (point.t == watermark_ && dup_ == DupPolicy::kFirst) {
+        ++stats.dups_resolved;
+      } else {
+        ++stats.late_dropped;
+      }
+      return StatusCode::kOk;
+    }
+    for (DataPoint& held : buffer_) {
+      if (held.t != point.t) continue;
+      if (dup_ == DupPolicy::kError) return StatusCode::kOutOfOrder;
+      if (dup_ == DupPolicy::kLast) held.x = point.x;
+      ++stats.dups_resolved;
+      return StatusCode::kOk;
+    }
+    for (const DataPoint& held : buffer_) {
+      if (held.t > point.t) {
+        ++stats.reordered;
+        break;
+      }
+    }
+    buffer_.push_back(point);
+    Release(reorder_);
+    return StatusCode::kOk;
+  }
+
+  void Release(size_t keep) {
+    std::stable_sort(
+        buffer_.begin(), buffer_.end(),
+        [](const DataPoint& a, const DataPoint& b) { return a.t < b.t; });
+    while (buffer_.size() > keep) {
+      forwarded.push_back(buffer_.front());
+      has_watermark_ = true;
+      watermark_ = buffer_.front().t;
+      buffer_.erase(buffer_.begin());
+    }
+  }
+
+  size_t buffered() const { return buffer_.size(); }
+
+  std::vector<DataPoint> forwarded;
+  IngestGuardStats stats;
+
+ private:
+  size_t reorder_;
+  DupPolicy dup_;
+  std::vector<DataPoint> buffer_;
+  bool has_watermark_ = false;
+  double watermark_ = 0.0;
+};
+
+// Arrivals over epoch-millisecond ticks: mostly in order, some displaced
+// by up to twice the window (so some land beyond it and drop as late),
+// and some repeating a recent tick with a new value.
+std::vector<DataPoint> MessyArrivals(uint64_t seed, size_t reorder) {
+  Rng rng(seed);
+  std::vector<DataPoint> arrivals;
+  for (size_t i = 0; i < 3000; ++i) {
+    arrivals.push_back(
+        DataPoint::Scalar(1.7e12 + 1000.0 * i, rng.Uniform(-5.0, 5.0)));
+  }
+  for (size_t i = 0; i + 1 < arrivals.size(); ++i) {
+    if (rng.Bernoulli(0.15)) {
+      const size_t j = std::min(arrivals.size() - 1,
+                                i + 1 + rng.UniformInt(2 * reorder + 1));
+      std::swap(arrivals[i], arrivals[j]);
+    }
+  }
+  std::vector<DataPoint> out;
+  for (const DataPoint& point : arrivals) {
+    out.push_back(point);
+    if (out.size() > 1 && rng.Bernoulli(0.08)) {
+      const size_t back = 1 + rng.UniformInt(std::min<size_t>(
+                                  out.size() - 1, 2 * reorder + 1));
+      out.push_back(DataPoint::Scalar(out[out.size() - 1 - back].t,
+                                      rng.Uniform(-5.0, 5.0)));
+    }
+  }
+  return out;
+}
+
+bool SamePoints(const std::vector<DataPoint>& a,
+                const std::vector<DataPoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].t != b[i].t || a[i].x[0] != b[i].x[0]) return false;
+  }
+  return true;
+}
+
+TEST(GuardReorderModelTest, MatchesStableSortWatermarkModel) {
+  for (const size_t reorder : {1u, 8u, 32u}) {
+    for (const char* dup : {"error", "first", "last"}) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("reorder=" + std::to_string(reorder) + " dup=" + dup +
+                     " seed=" + std::to_string(seed));
+        const IngestPolicy policy =
+            IngestPolicy::Parse("guard(reorder=" + std::to_string(reorder) +
+                                ",dup=" + dup + ")")
+                .value();
+        RecordingFilter filter;
+        IngestGuard guard(policy, &filter);
+        ReferenceGuard model(reorder, policy.dup);
+        const std::vector<DataPoint> arrivals =
+            MessyArrivals(seed * 7919 + reorder, reorder);
+        size_t errors = 0;
+        for (size_t i = 0; i < arrivals.size(); ++i) {
+          const StatusCode code = guard.Admit(arrivals[i]).code();
+          ASSERT_EQ(code, model.Admit(arrivals[i])) << "arrival " << i;
+          if (code != StatusCode::kOk) ++errors;
+          ASSERT_EQ(guard.buffered(), model.buffered()) << "arrival " << i;
+          ASSERT_EQ(guard.stats(), model.stats) << "arrival " << i;
+          ASSERT_EQ(filter.forwarded.size(), model.forwarded.size())
+              << "arrival " << i;
+        }
+        ASSERT_TRUE(guard.Flush().ok());
+        model.Release(0);
+        EXPECT_EQ(guard.buffered(), 0u);
+        EXPECT_TRUE(SamePoints(filter.forwarded, model.forwarded));
+        EXPECT_EQ(guard.stats(), model.stats);
+        // The sweep reached every decision it is meant to cover.
+        EXPECT_GT(guard.stats().reordered, 0u);
+        EXPECT_GT(guard.stats().late_dropped, 0u);
+        EXPECT_GT(guard.stats().dups_resolved + errors, 0u);
+      }
+    }
+  }
 }
 
 // --- FilterBank / Pipeline / config wiring -----------------------------------

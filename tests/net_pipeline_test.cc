@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -221,6 +222,42 @@ TEST(NetPipelineTest, RemoteModeDisablesLocalQueries) {
   EXPECT_EQ(pipeline->Store("k"), nullptr);
   EXPECT_EQ(server->Segments("k").value().size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(NetPipelineTest, FrameCodecAppendHandsItsFrameToTheWire) {
+  // The latency contract: with the "frame" codec, an Append that emits a
+  // frame writes it before returning, with no Flush anywhere.
+  auto listened = CollectorServer::Listen("tcp(host=127.0.0.1,port=0)");
+  ASSERT_TRUE(listened.ok()) << listened.status().message();
+  ScopedCollector server(std::move(listened).value());
+  auto pipeline = Pipeline::Builder()
+                      .DefaultSpec("slide(eps=0.5)")
+                      .Codec("frame")
+                      .Transport(server->endpoint())
+                      .Build()
+                      .value();
+
+  const Signal& signal = Streams().front().second;
+  size_t frames_seen = 0;
+  for (size_t j = 0; j < signal.size() && frames_seen < 8; ++j) {
+    const Pipeline::PipelineStats before = pipeline->Stats();
+    ASSERT_TRUE(pipeline->Append("k", signal.points[j]).ok());
+    const Pipeline::PipelineStats after = pipeline->Stats();
+    if (after.frames_sent == before.frames_sent) continue;
+    ++frames_seen;
+    EXPECT_GT(after.transport.bytes_sent, before.transport.bytes_sent) << j;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server->GetStats().frames_applied < after.frames_sent &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const CollectorServer::Stats collected = server->GetStats();
+    EXPECT_EQ(collected.frames_applied, after.frames_sent) << j;
+    EXPECT_EQ(collected.bytes_received, after.transport.bytes_sent) << j;
+  }
+  EXPECT_EQ(frames_seen, 8u);
+  ASSERT_TRUE(pipeline->Finish().ok());
 }
 
 TEST(NetPipelineTest, RemoteTransportRejectsLocalStorage) {

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -480,6 +482,226 @@ TEST(CollectorServerTest, SequenceGapFailsTheConnection) {
   }
   EXPECT_NE(error_text.find("gap"), std::string::npos) << error_text;
   EXPECT_GE(server->GetStats().protocol_errors, 1u);
+  std::remove(path.c_str());
+}
+
+// --- when bytes leave the producer --------------------------------------------
+
+// SampleRecords() shifted by `offset` in value, so every stream differs.
+std::vector<WireRecord> ShiftedRecords(double offset) {
+  std::vector<WireRecord> records = SampleRecords();
+  for (WireRecord& record : records) record.x[0] += offset;
+  return records;
+}
+
+// Segments a local Receiver decodes from `frames` (plus the finish).
+std::vector<Segment> LocalSegments(
+    const std::string& codec_spec,
+    const std::vector<std::vector<uint8_t>>& frames) {
+  auto codec = CodecRegistry::Global().MakeCodec(codec_spec).value();
+  Receiver receiver(codec.get());
+  for (const auto& frame : frames) {
+    EXPECT_TRUE(receiver.ApplyFrame(frame).ok());
+  }
+  EXPECT_TRUE(receiver.FinishStream().ok());
+  return receiver.segments();
+}
+
+// Polls `done` every millisecond for up to five seconds.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ProducerQueueTest, QueuedStreamsLeaveInOneFlush) {
+  auto listened = CollectorServer::Listen("tcp(host=127.0.0.1,port=0)");
+  ASSERT_TRUE(listened.ok()) << listened.status().message();
+  ScopedCollector server(std::move(listened).value());
+  auto client = ProducerClient::Connect(server->endpoint(), "delta").value();
+
+  constexpr size_t kStreams = 256;
+  std::vector<uint32_t> ids;
+  std::vector<std::vector<std::vector<uint8_t>>> frames;
+  for (size_t i = 0; i < kStreams; ++i) {
+    ids.push_back(client->OpenStream("k" + std::to_string(i), 1).value());
+    frames.push_back(EncodeFrames("delta", ShiftedRecords(0.25 * i)));
+  }
+  // Interleave the streams frame by frame, as a commit over many keys
+  // does; nothing may touch the socket until the Flush.
+  for (size_t f = 0; f < frames[0].size(); ++f) {
+    for (size_t i = 0; i < kStreams; ++i) {
+      ASSERT_TRUE(client->SendFrame(ids[i], frames[i][f]).ok());
+    }
+  }
+  for (const uint32_t id : ids) ASSERT_TRUE(client->FinishStream(id).ok());
+  EXPECT_EQ(client->GetStats().socket_writes, 0u);
+  EXPECT_EQ(client->GetStats().bytes_sent, 0u);
+  const Status flushed = client->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.message();
+
+  for (size_t i = 0; i < kStreams; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const auto segments = server->Segments(key);
+    ASSERT_TRUE(segments.ok()) << key << ": " << segments.status().message();
+    EXPECT_EQ(segments.value(), LocalSegments("delta", frames[i])) << key;
+  }
+  // Nothing unacked: every sequenced message drew exactly one ACK, and
+  // the queue left in a handful of writes, not one per frame.
+  const ProducerClient::Stats stats = client->GetStats();
+  EXPECT_EQ(stats.frames_sent, kStreams * (frames[0].size() + 1));
+  EXPECT_EQ(stats.acks_received, stats.frames_sent);
+  EXPECT_EQ(stats.frames_resent, 0u);
+  EXPECT_GE(stats.socket_writes, 1u);
+  EXPECT_LE(stats.socket_writes * 10, stats.frames_sent);
+  EXPECT_EQ(server->GetStats().frames_applied, kStreams * frames[0].size());
+  // Push with nothing queued makes no syscall.
+  ASSERT_TRUE(client->Push().ok());
+  EXPECT_EQ(client->GetStats().socket_writes, stats.socket_writes);
+}
+
+class ProducerDropTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ProducerDropTest, DropBetweenQueueAndFlushDeliversEachFrameOnce) {
+  const std::string path = TempUdsPath("queuedrop");
+  const std::string listen_spec =
+      GetParam() == std::string("tcp") ? "tcp(host=127.0.0.1,port=0)"
+                                       : "uds(path=" + path + ")";
+  auto listened = CollectorServer::Listen(listen_spec);
+  ASSERT_TRUE(listened.ok()) << listened.status().message();
+  ScopedCollector server(std::move(listened).value());
+  ProducerClient::Options options;
+  options.retries = 20;
+  options.backoff_ms = 5;
+  auto client =
+      ProducerClient::Connect(server->endpoint(), "delta", options).value();
+
+  constexpr size_t kStreams = 4;
+  std::vector<uint32_t> ids;
+  std::vector<std::vector<std::vector<uint8_t>>> frames;
+  for (size_t i = 0; i < kStreams; ++i) {
+    ids.push_back(client->OpenStream("s" + std::to_string(i), 1).value());
+    frames.push_back(EncodeFrames("delta", ShiftedRecords(3.0 * i)));
+  }
+  const size_t per_stream = frames[0].size();
+  ASSERT_GE(per_stream, 6u);
+  const auto send = [&](size_t from, size_t to) {
+    for (size_t f = from; f < to; ++f) {
+      for (size_t i = 0; i < kStreams; ++i) {
+        ASSERT_TRUE(client->SendFrame(ids[i], frames[i][f]).ok());
+      }
+    }
+  };
+
+  // Phase 1 reaches the collector and is applied, but the client never
+  // reads most of its ACKs before the link dies.
+  send(0, 2);
+  ASSERT_TRUE(client->Push().ok());
+  ASSERT_TRUE(WaitFor(
+      [&] { return server->GetStats().frames_applied == 2 * kStreams; }));
+  // Phase 2 is queued and never written on the old link.
+  send(2, 4);
+  const uint64_t acks_before_drop = client->GetStats().acks_received;
+  client->DebugDropConnection();
+  // Phase 3 is queued on the dead link; Flush redials and resends.
+  send(4, per_stream);
+  for (const uint32_t id : ids) ASSERT_TRUE(client->FinishStream(id).ok());
+  const Status flushed = client->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.message();
+
+  for (size_t i = 0; i < kStreams; ++i) {
+    const std::string key = "s" + std::to_string(i);
+    EXPECT_EQ(server->Segments(key).value(),
+              LocalSegments("delta", frames[i]))
+        << key;
+  }
+  // Exactly once: each frame applied once; each phase-1 frame whose ACK
+  // was lost is resent and deduped, and nothing else is.
+  const CollectorServer::Stats stats = server->GetStats();
+  EXPECT_EQ(stats.frames_applied, kStreams * per_stream);
+  EXPECT_EQ(stats.frames_deduped, 2 * kStreams - acks_before_drop);
+  EXPECT_EQ(stats.streams_finished, kStreams);
+  EXPECT_GE(client->GetStats().reconnects, 1u);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ProducerDropTest,
+                         ::testing::Values("uds", "tcp"));
+
+// Reads protocol messages from `fd` into `splitter` until `count` have
+// arrived or the peer goes quiet; returns the messages' types.
+std::vector<NetMessageType> ReadMessages(int fd, FrameSplitter* splitter,
+                                         size_t count) {
+  std::vector<NetMessageType> types;
+  uint8_t chunk[1024];
+  for (int spins = 0; spins < 200 && types.size() < count; ++spins) {
+    PollSocket(fd, /*want_write=*/false, 50);
+    size_t n = 0;
+    const IoOutcome outcome =
+        ReadSome(fd, std::span<uint8_t>(chunk, sizeof(chunk)), &n);
+    if (outcome == IoOutcome::kWouldBlock) continue;
+    if (outcome != IoOutcome::kProgress) break;
+    if (!splitter->Feed(std::span<const uint8_t>(chunk, n)).ok()) break;
+    while (splitter->HasFrame()) {
+      types.push_back(ParseMessageType(splitter->NextFrame()).value());
+    }
+  }
+  return types;
+}
+
+TEST(ProducerQueueTest, InterleavedAcksDrainTheResendBuffer) {
+  const std::string path = TempUdsPath("acks");
+  auto listener = UdsListen(path).value();
+  ProducerClient::Options options;
+  options.retries = 0;
+  auto client = ProducerClient::Connect("uds(path=" + path + ")", "frame",
+                                        options)
+                    .value();
+  const uint32_t a = client->OpenStream("a", 1).value();
+  const uint32_t b = client->OpenStream("b", 1).value();
+  const std::vector<std::vector<uint8_t>> frames =
+      EncodeFrames("frame", SampleRecords());
+  // Send order a1 b1 a2 b2 a3 b3.
+  for (size_t f = 0; f < 3; ++f) {
+    ASSERT_TRUE(client->SendFrame(a, frames[f]).ok());
+    ASSERT_TRUE(client->SendFrame(b, frames[f]).ok());
+  }
+
+  // A hand-written collector that ACKs out of send order: b's whole line
+  // first (covering entries behind a1), then a1, then a3.
+  std::thread collector([&] {
+    ASSERT_TRUE(PollSocket(listener.get(), /*want_write=*/false, 5000));
+    auto conn = AcceptConnection(listener).value();
+    FrameSplitter splitter;
+    const std::vector<NetMessageType> got =
+        ReadMessages(conn.get(), &splitter, 9);  // hello, 2 opens, 6 frames
+    ASSERT_EQ(got.size(), 9u);
+    std::vector<uint8_t> acks;
+    AppendAckMessage(&acks, b, 3);
+    AppendAckMessage(&acks, a, 1);
+    AppendAckMessage(&acks, a, 3);
+    WriteAllBytes(conn.get(), acks);
+    // Hold the connection until the client hangs up.
+    ReadMessages(conn.get(), &splitter, 1);
+  });
+  // A Flush that never sees its buffer drain would hang; abort it.
+  std::atomic<bool> flushed{false};
+  std::thread watchdog([&] {
+    WaitFor([&] { return flushed.load(); });
+    client->Abort();
+  });
+  const Status status = client->Flush();
+  flushed = true;
+  watchdog.join();
+  EXPECT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(client->GetStats().acks_received, 3u);
+  client.reset();
+  collector.join();
   std::remove(path.c_str());
 }
 
